@@ -3,12 +3,15 @@
 Two broad classes matter to callers (and to the CLI exit-code scheme):
 ``ParseError`` for malformed input documents, and ``PreconditionError`` for
 structurally valid input that violates an operation's stated requirements.
+A third, ``CertificateError``, reports a result that failed its own exact
+re-check; it is a fault of the library and has no exit code of its own.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "WeakstarError",
+    "CertificateError",
     "ParseError",
     "PreconditionError",
     "BadParameter",
@@ -23,6 +26,15 @@ __all__ = [
 
 class WeakstarError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class CertificateError(WeakstarError):
+    """An exact self-check rejected a result the library computed.
+
+    This signals a fault in the library, not bad input, so the command line
+    does not turn it into an exit code.  The checks raise it explicitly and
+    therefore still run under ``python -O``.
+    """
 
 
 class ParseError(WeakstarError):

@@ -7,22 +7,31 @@ only non-rational value that appears anywhere is ``math.inf``, used as a
 first-class "infinite distance / unbounded objective" marker, never as an
 approximation of a finite number.
 
-The solver is a two-phase primal simplex over rationals with Bland's
-anti-cycling rule.  Variables may carry finite lower/upper bounds, which are
-handled implicitly (bound substitution) instead of as explicit rows; that keeps
-the tableaus small for the box- and simplex-constrained programs the geometry
-modules generate.  Every outcome carries an exactly checkable witness and is
-re-verified before being returned.
+The solver is a two-phase primal simplex with Bland's anti-cycling rule.
+Variables may carry finite lower/upper bounds, which are handled implicitly
+(bound substitution) instead of as explicit rows; that keeps the tableaus
+small for the box- and simplex-constrained programs the geometry modules
+generate.  The tableau is fraction-free: each row is a list of integers over
+one positive denominator, kept in lowest terms, so a pivot is integer
+arithmetic on the pivot row's nonzero columns (the integer-preserving update
+of Bareiss, as applied to the simplex method by Azulay and Pique).  Ratio
+tests compare integer pairs by cross-multiplication, so every decision, and
+hence every pivot, is the one exact rational arithmetic would make.
+
+Every outcome carries an exactly checkable witness and is re-verified, in
+``Fraction`` arithmetic against the caller's unmodified rows, before being
+returned.  A failed check raises ``CertificateError`` explicitly, so the
+checks also run under ``python -O``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import gcd, inf, lcm
 from typing import Hashable, Iterable, Mapping, Sequence, Union
 
-from .errors import ParseError
+from .errors import CertificateError, ParseError
 
 __all__ = [
     "Rational",
@@ -290,7 +299,7 @@ def lp_solve(problem: LpProblem, sense: str = "max") -> LpOutcome:
         result = Infeasible(tuple(outcome.row_multipliers))
     ok, reason = verify_outcome(problem, sense, result)
     if not ok:  # pragma: no cover - solver self-check
-        raise AssertionError(f"LP solver produced an invalid witness: {reason}")
+        raise CertificateError(f"LP solver produced an invalid witness: {reason}")
     return result
 
 
@@ -396,7 +405,26 @@ def solve_bounded(
     return solver.run()
 
 
+def _lowest_terms(nums: list[int], den: int) -> tuple[list[int], int]:
+    """Divide the integer row ``nums / den`` by the gcd of all its entries."""
+    g = gcd(den, *nums)
+    if g > 1:
+        return [x // g for x in nums], den // g
+    return nums, den
+
+
 class _Simplex:
+    """Bounded-variable two-phase simplex on an integer-row tableau.
+
+    Row ``i`` of the tableau is the rational row ``T[i] / den[i]`` with right
+    side ``b[i] / den[i]``: integer numerators over one positive denominator,
+    kept in lowest terms.  The reduced-cost row is ``d / dden`` in the same
+    form.  All pivoting, flipping and comparison is exact integer arithmetic;
+    ``Fraction`` values are formed only when a solution is read off.  The
+    pristine rational data (``caller_rows``, ``M0``, ``b0``) never changes and
+    is what every ``_check_*`` certifies against.
+    """
+
     def __init__(self, variables, objective, rows, lower, upper, sense):
         if sense not in ("max", "min"):
             raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
@@ -441,9 +469,10 @@ class _Simplex:
         """Shift lowers to zero, add slack and artificial columns, pick a basis."""
         m = len(self.caller_rows)
         n = self.nstruct
+        lows = [(j, low) for j, low in enumerate(self.low) if low]
         shifted_rhs = []
         for dense, rel, rhs in self.caller_rows:
-            shifted_rhs.append(rhs - sum(dense[j] * self.low[j] for j in range(n) if self.low[j]))
+            shifted_rhs.append(rhs - sum(dense[j] * low for j, low in lows if dense[j]))
 
         ncols = n
         self.slack_col = [None] * m
@@ -453,8 +482,9 @@ class _Simplex:
                 ncols += 1
         nslack_end = ncols
 
-        self.T: list[list[Fraction]] = []
-        self.rhs: list[Fraction] = []
+        # Rational rows first: they become the pristine copy M0/b0.
+        rows: list[list[Fraction]] = []
+        self.b0: list[Fraction] = []
         self.row_sign: list[int] = []
         for i, (dense, rel, _) in enumerate(self.caller_rows):
             row = list(dense) + [Fraction(0)] * (nslack_end - n)
@@ -464,13 +494,13 @@ class _Simplex:
                 row[self.slack_col[i]] = Fraction(-1)
             b = shifted_rhs[i]
             if b < 0:
-                row = [-x for x in row]
+                row = [-x if x else x for x in row]
                 b = -b
                 self.row_sign.append(-1)
             else:
                 self.row_sign.append(1)
-            self.T.append(row)
-            self.rhs.append(b)
+            rows.append(row)
+            self.b0.append(b)
 
         # Upper bounds per column (shifted): structural get upp-low, slacks none.
         self.ub: list[Fraction | None] = []
@@ -485,7 +515,7 @@ class _Simplex:
         cols_to_add = []
         for i in range(m):
             s = self.slack_col[i]
-            if s is not None and self.T[i][s] == 1:
+            if s is not None and rows[i][s] == 1:
                 self.basis[i] = s
             else:
                 cols_to_add.append(i)
@@ -496,81 +526,135 @@ class _Simplex:
             next_col += 1
         self.first_art = nslack_end
         self.ncols = next_col
-        for row in self.T:
+        for row in rows:
             row.extend([Fraction(0)] * (self.ncols - nslack_end))
         for i in cols_to_add:
-            self.T[i][self.art_col[i]] = Fraction(1)
+            rows[i][self.art_col[i]] = Fraction(1)
         self.ub.extend([None] * (self.ncols - nslack_end))
         self.flipped = [False] * self.ncols
         self.dropped_rows: list[int] = []
         self.live_rows = list(range(m))
-        # Pristine copies, used by the post-solve certification.
-        self.M0 = [list(row) for row in self.T]
-        self.b0 = list(self.rhs)
+        # Pristine copy, used by the post-solve certification.
+        self.M0 = rows
 
-    def _reduced_costs(self, col_cost: list[Fraction]) -> list[Fraction]:
-        d = list(col_cost)
+        self.T: list[list[int]] = []
+        self.b: list[int] = []
+        self.den: list[int] = []
+        for row, b in zip(rows, self.b0):
+            den = lcm(b.denominator, *(x.denominator for x in row))
+            self.T.append([x.numerator * (den // x.denominator) for x in row])
+            self.b.append(b.numerator * (den // b.denominator))
+            self.den.append(den)
+            self._reduce(len(self.T) - 1)
+
+    def _reduce(self, i: int):
+        """Bring row i back to lowest terms."""
+        row = self.T[i]
+        g = gcd(self.den[i], self.b[i], *row)
+        if g > 1:
+            self.T[i] = [x // g for x in row]
+            self.b[i] //= g
+            self.den[i] //= g
+
+    def _reduced_costs(self, col_cost: list[Fraction]):
+        """Set ``d / dden`` to ``col_cost`` minus the basic costs times the rows."""
+        dden = lcm(*(c.denominator for c in col_cost))
+        d = [c.numerator * (dden // c.denominator) for c in col_cost]
         for i in self.live_rows:
             cb = col_cost[self.basis[i]]
             if cb:
-                row = self.T[i]
-                for j in range(self.ncols):
-                    if row[j]:
-                        d[j] -= cb * row[j]
-        return d
+                # d/dden - cb * row/den over the common denominator dden * q * den.
+                scale = cb.denominator * self.den[i]
+                factor = cb.numerator * dden
+                d, dden = _lowest_terms([x * scale - factor * y for x, y in zip(d, self.T[i])], dden * scale)
+        self.d, self.dden = d, dden
+
+    def _cost(self, j: int) -> Fraction:
+        return Fraction(self.d[j], self.dden)
 
     # -- pivoting ------------------------------------------------------------
 
-    def _pivot(self, r: int, e: int, d: list[Fraction]):
-        row = self.T[r]
-        piv = row[e]
-        if piv != 1:
-            inv = Fraction(1) / piv
-            self.T[r] = row = [x * inv for x in row]
-            self.rhs[r] *= inv
+    def _pivot(self, r: int, e: int, update_costs: bool = True):
+        """Make column e basic in row r.
+
+        The pivot row, divided by its entry in column e, is ``T[r] / T[r][e]``
+        (its old denominator cancels).  Every other row with a nonzero factor
+        ``f`` in column e becomes ``(row * p - f * T[r]) / (den * p)``, which
+        touches only the pivot row's nonzero columns beyond the rescaling.
+        """
+        p = self.T[r][e]
+        if p < 0:
+            self.T[r] = [-x for x in self.T[r]]
+            self.b[r] = -self.b[r]
+        self.den[r] = abs(p)
+        self._reduce(r)
+        prow, pb, p = self.T[r], self.b[r], self.den[r]
+        support = [(j, y) for j, y in enumerate(prow) if y]
         for i in self.live_rows:
             if i == r:
                 continue
-            factor = self.T[i][e]
-            if factor:
-                target = self.T[i]
-                for j in range(self.ncols):
-                    if row[j]:
-                        target[j] -= factor * row[j]
-                self.rhs[i] -= factor * self.rhs[r]
-        factor = d[e]
-        if factor:
-            for j in range(self.ncols):
-                if row[j]:
-                    d[j] -= factor * row[j]
+            row = self.T[i]
+            f = row[e]
+            if f:
+                new = [x * p for x in row] if p != 1 else list(row)
+                for j, y in support:
+                    new[j] -= f * y
+                self.T[i] = new
+                self.b[i] = self.b[i] * p - f * pb
+                self.den[i] *= p
+                self._reduce(i)
+        if update_costs:
+            f = self.d[e]
+            if f:
+                d = [x * p for x in self.d] if p != 1 else list(self.d)
+                for j, y in support:
+                    d[j] -= f * y
+                self.d, self.dden = _lowest_terms(d, self.dden * p)
         self.basis[r] = e
 
-    def _flip_nonbasic(self, e: int, d: list[Fraction]):
+    def _flip_nonbasic(self, e: int):
         u = self.ub[e]
-        assert u is not None
+        if u is None:
+            raise CertificateError("bound flip on a column without an upper bound")
+        un, ud = u.numerator, u.denominator
         for i in self.live_rows:
-            if self.T[i][e]:
-                self.rhs[i] -= u * self.T[i][e]
-                self.T[i][e] = -self.T[i][e]
-        d[e] = -d[e]
+            a = self.T[i][e]
+            if a:
+                # rhs - u * a over den, all rescaled by u's denominator.
+                if ud != 1:
+                    self.T[i] = [x * ud for x in self.T[i]]
+                    self.den[i] *= ud
+                self.b[i] = self.b[i] * ud - un * a
+                self.T[i][e] = -a * ud
+                self._reduce(i)
+        self.d[e] = -self.d[e]
         self.flipped[e] = not self.flipped[e]
 
     def _flip_basic_row(self, r: int):
         """Re-express the basic variable of row r relative to its upper bound."""
         var = self.basis[r]
         u = self.ub[var]
-        assert u is not None
-        row = self.T[r]
-        for j in range(self.ncols):
-            if j != var and row[j]:
-                row[j] = -row[j]
-        self.rhs[r] = u - self.rhs[r]
+        if u is None:
+            raise CertificateError("bound flip on a basic variable without an upper bound")
+        un, ud = u.numerator, u.denominator
+        den = self.den[r]
+        row = [-x * ud for x in self.T[r]]
+        row[var] = den * ud
+        self.T[r] = row
+        self.b[r] = un * den - ud * self.b[r]
+        self.den[r] = den * ud
+        self._reduce(r)
         self.flipped[var] = not self.flipped[var]
 
-    def _iterate(self, d: list[Fraction], allow_artificials: bool) -> int | None:
-        """Run Bland pivots until optimal (returns None) or unbounded (entering col)."""
+    def _iterate(self, allow_artificials: bool) -> int | None:
+        """Run Bland pivots until optimal (returns None) or unbounded (entering col).
+
+        Step lengths are compared as integer pairs ``num / den`` with ``den > 0``
+        by cross-multiplication, so every comparison is the exact rational one.
+        """
         basic_set = set(self.basis[i] for i in self.live_rows)
         while True:
+            d = self.d
             enter = None
             for j in range(self.ncols):
                 if j in basic_set:
@@ -587,35 +671,45 @@ class _Simplex:
                 return None
 
             # Ratio test: smallest blocking step; Bland tie-break on variable index.
-            best_t: Fraction | None = self.ub[enter]
+            u = self.ub[enter]
+            if u is None:
+                best_n = best_d = None
+            else:
+                best_n, best_d = u.numerator, u.denominator
             best_kind = "flip"
             best_row = -1
-            best_var = enter if best_t is not None else self.ncols
+            best_var = enter if best_n is not None else self.ncols
             for i in self.live_rows:
                 a = self.T[i][enter]
                 if a > 0:
-                    t = self.rhs[i] / a
+                    tn, td = self.b[i], a
                     kind = "lower"
                 elif a < 0:
                     ub_b = self.ub[self.basis[i]]
                     if ub_b is None:
                         continue
-                    t = (ub_b - self.rhs[i]) / (-a)
+                    q = ub_b.denominator
+                    tn, td = ub_b.numerator * self.den[i] - q * self.b[i], -a * q
                     kind = "upper"
                 else:
                     continue
                 bvar = self.basis[i]
-                if best_t is None or t < best_t or (t == best_t and bvar < best_var):
-                    best_t, best_kind, best_row, best_var = t, kind, i, bvar
-            if best_t is None:
+                if best_n is None:
+                    better = True
+                else:
+                    lhs, rhs = tn * best_d, best_n * td
+                    better = lhs < rhs or (lhs == rhs and bvar < best_var)
+                if better:
+                    best_n, best_d, best_kind, best_row, best_var = tn, td, kind, i, bvar
+            if best_n is None:
                 return enter  # genuinely unbounded direction
             if best_kind == "flip":
-                self._flip_nonbasic(enter, d)
+                self._flip_nonbasic(enter)
             else:
                 if best_kind == "upper":
                     self._flip_basic_row(best_row)
                 basic_set.discard(self.basis[best_row])
-                self._pivot(best_row, enter, d)
+                self._pivot(best_row, enter)
                 basic_set.add(enter)
 
     # -- value extraction ----------------------------------------------------
@@ -625,11 +719,13 @@ class _Simplex:
         for j in range(self.ncols):
             if self.flipped[j]:
                 u = self.ub[j]
-                assert u is not None
+                if u is None:
+                    raise CertificateError("flipped column without an upper bound")
                 x[j] = u
         for i in self.live_rows:
             j = self.basis[i]
-            x[j] = (self.ub[j] - self.rhs[i]) if self.flipped[j] else self.rhs[i]
+            value = Fraction(self.b[i], self.den[i])
+            x[j] = (self.ub[j] - value) if self.flipped[j] else value
         return x
 
     def _structural_values(self) -> dict[Hashable, Fraction]:
@@ -643,18 +739,19 @@ class _Simplex:
         phase1_cost = [Fraction(0)] * self.ncols
         for j in range(self.first_art, self.ncols):
             phase1_cost[j] = Fraction(1)
-        d1 = self._reduced_costs(phase1_cost)
-        leftover = self._iterate(d1, allow_artificials=True)
-        assert leftover is None, "phase 1 objective is bounded below, cannot be unbounded"
+        self._reduced_costs(phase1_cost)
+        leftover = self._iterate(allow_artificials=True)
+        if leftover is not None:
+            raise CertificateError("phase 1 objective is bounded below, cannot be unbounded")
 
         x = self._assignment_shifted()
         infeas = sum((x[j] for j in range(self.first_art, self.ncols)), Fraction(0))
         if infeas > 0:
-            return self._extract_infeasible(d1)
+            return self._extract_infeasible()
 
         self._evict_artificials()
-        d2 = self._phase2_costs()
-        enter = self._iterate(d2, allow_artificials=False)
+        self._phase2_costs()
+        enter = self._iterate(allow_artificials=False)
         if enter is not None:
             return self._extract_ray(enter)
 
@@ -662,14 +759,14 @@ class _Simplex:
         raw = sum((self.cost[j] * (values[self.varkeys[j]]) for j in range(self.nstruct)), Fraction(0))
         value = -raw if self.sense == "max" else raw
         self._check_feasible_point(values)
-        self._check_optimal_bound(d2)
+        self._check_optimal_bound()
         return BoundedOptimal(value, values)
 
-    def _phase2_costs(self) -> list[Fraction]:
+    def _phase2_costs(self):
         col_cost = [Fraction(0)] * self.ncols
         for j in range(self.nstruct):
             col_cost[j] = -self.cost[j] if self.flipped[j] else self.cost[j]
-        return self._reduced_costs(col_cost)
+        self._reduced_costs(col_cost)
 
     def _evict_artificials(self):
         """Pivot residual zero-level artificials out of the basis; drop redundant rows."""
@@ -685,20 +782,20 @@ class _Simplex:
                 self.live_rows.remove(i)
                 self.dropped_rows.append(i)
             else:
-                dummy = [Fraction(0)] * self.ncols
-                self._pivot(i, target, dummy)
+                self._pivot(i, target, update_costs=False)
 
-    def _extract_infeasible(self, d1: list[Fraction]) -> BoundedInfeasible:
+    def _extract_infeasible(self) -> BoundedInfeasible:
         m = len(self.caller_rows)
         mult = [Fraction(0)] * m
         for i in self.live_rows:
             a = self.art_col[i]
             if a is not None:
-                y = Fraction(1) - d1[a]
+                y = Fraction(1) - self._cost(a)
             else:
                 s = self.slack_col[i]
-                assert s is not None
-                y = -d1[s]
+                if s is None:
+                    raise CertificateError("row has neither an artificial nor a slack column")
+                y = -self._cost(s)
             mult[i] = y * self.row_sign[i]
         self._check_infeasibility(mult)
         return BoundedInfeasible(mult)
@@ -707,7 +804,7 @@ class _Simplex:
         delta = [Fraction(0)] * self.ncols
         delta[enter] = Fraction(1)
         for i in self.live_rows:
-            delta[self.basis[i]] = -self.T[i][enter]
+            delta[self.basis[i]] = Fraction(-self.T[i][enter], self.den[i])
         ray: dict[Hashable, Fraction] = {}
         for j in range(self.nstruct):
             component = -delta[j] if self.flipped[j] else delta[j]
@@ -721,37 +818,36 @@ class _Simplex:
     def _check_feasible_point(self, values: Mapping[Hashable, Fraction]):
         for j, v in enumerate(self.varkeys):
             x = values[v]
-            assert x >= self.low[j], f"bound violation on {v!r}"
-            assert self.upp[j] is None or x <= self.upp[j], f"bound violation on {v!r}"
+            if x < self.low[j] or (self.upp[j] is not None and x > self.upp[j]):
+                raise CertificateError(f"bound violation on {v!r}")
         for dense, rel, rhs in self.caller_rows:
             lhs = sum((dense[j] * values[self.varkeys[j]] for j in range(self.nstruct)), Fraction(0))
-            if rel == LE:
-                assert lhs <= rhs, "row violation in optimal witness"
-            elif rel == GE:
-                assert lhs >= rhs, "row violation in optimal witness"
-            else:
-                assert lhs == rhs, "row violation in optimal witness"
+            if (rel == LE and lhs > rhs) or (rel == GE and lhs < rhs) or (rel == EQ and lhs != rhs):
+                raise CertificateError("row violation in optimal witness")
 
     def _check_ray(self, ray: Mapping[Hashable, Fraction]):
-        assert ray, "zero ray"
+        if not ray:
+            raise CertificateError("zero ray")
         for j, v in enumerate(self.varkeys):
             comp = ray.get(v, Fraction(0))
             # Lower bounds are always finite here, so rays never point down.
-            assert comp >= 0, "ray moves a lower-bounded variable down"
-            if comp > 0:
-                assert self.upp[j] is None, "ray moves an upper-bounded variable up"
+            if comp < 0:
+                raise CertificateError("ray moves a lower-bounded variable down")
+            if comp > 0 and self.upp[j] is not None:
+                raise CertificateError("ray moves an upper-bounded variable up")
         gain = sum((self.cost[j] * ray.get(self.varkeys[j], Fraction(0)) for j in range(self.nstruct)), Fraction(0))
-        assert gain < 0, "ray does not improve the internal minimization"
+        if not gain < 0:
+            raise CertificateError("ray does not improve the internal minimization")
         for dense, rel, rhs in self.caller_rows:
             drift = sum((dense[j] * ray.get(self.varkeys[j], Fraction(0)) for j in range(self.nstruct)), Fraction(0))
-            if rel == LE:
-                assert drift <= 0, "ray escapes a <= row"
-            elif rel == GE:
-                assert drift >= 0, "ray escapes a >= row"
-            else:
-                assert drift == 0, "ray escapes an = row"
+            if rel == LE and drift > 0:
+                raise CertificateError("ray escapes a <= row")
+            if rel == GE and drift < 0:
+                raise CertificateError("ray escapes a >= row")
+            if rel == EQ and drift != 0:
+                raise CertificateError("ray escapes an = row")
 
-    def _check_optimal_bound(self, d2: list[Fraction]):
+    def _check_optimal_bound(self):
         """Certify optimality by exact complementary slackness.
 
         Row multipliers are read off the final reduced-cost row, then reduced
@@ -764,28 +860,28 @@ class _Simplex:
         for i in range(m):
             row = self.M0[i]
             lhs = sum((row[j] * z[j] for j in range(self.ncols) if row[j] and z[j]), Fraction(0))
-            assert lhs == self.b0[i], "assignment does not solve the tableau system"
+            if lhs != self.b0[i]:
+                raise CertificateError("assignment does not solve the tableau system")
         y: list[Fraction] = []
         for i in range(m):
             col = self.art_col[i] if self.art_col[i] is not None else self.slack_col[i]
-            y.append(-d2[col])
+            y.append(-self._cost(col))
         for j in range(self.first_art):
             c_j = self.cost[j] if j < self.nstruct else Fraction(0)
             reduced = c_j - sum((y[i] * self.M0[i][j] for i in range(m) if self.M0[i][j]), Fraction(0))
-            if reduced > 0:
-                assert z[j] == 0, "positive reduced cost away from lower bound"
-            elif reduced < 0:
-                u = self.ub[j]
-                assert u is not None and z[j] == u, "negative reduced cost away from upper bound"
+            if reduced > 0 and z[j] != 0:
+                raise CertificateError("positive reduced cost away from lower bound")
+            if reduced < 0 and (self.ub[j] is None or z[j] != self.ub[j]):
+                raise CertificateError("negative reduced cost away from upper bound")
 
     def _check_infeasibility(self, mult: Sequence[Fraction]):
         combined = [Fraction(0)] * self.nstruct
         total = Fraction(0)
         for y, (dense, rel, rhs) in zip(mult, self.caller_rows):
-            if rel == LE:
-                assert y <= 0, "certificate sign error on <= row"
-            elif rel == GE:
-                assert y >= 0, "certificate sign error on >= row"
+            if rel == LE and y > 0:
+                raise CertificateError("certificate sign error on <= row")
+            if rel == GE and y < 0:
+                raise CertificateError("certificate sign error on >= row")
             for j in range(self.nstruct):
                 combined[j] += y * dense[j]
             total += y * rhs
@@ -793,8 +889,10 @@ class _Simplex:
         for j in range(self.nstruct):
             g = combined[j]
             if g > 0:
-                assert self.upp[j] is not None, "certificate leaks through an unbounded-above variable"
+                if self.upp[j] is None:
+                    raise CertificateError("certificate leaks through an unbounded-above variable")
                 total -= g * self.upp[j]
             elif g < 0:
                 total -= g * self.low[j]
-        assert total > 0, "infeasibility certificate does not reach a contradiction"
+        if not total > 0:
+            raise CertificateError("infeasibility certificate does not reach a contradiction")

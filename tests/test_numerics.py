@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weakstar import numerics
+from weakstar.errors import CertificateError, ParseError, PreconditionError, WeakstarError
 from weakstar.numerics import (
     Infeasible,
     LpProblem,
@@ -320,3 +326,59 @@ def test_fuzz_outcomes_always_verify(seedrows):
     ok, why = verify_outcome(p, "max", out)
     assert ok, why
     assert not isinstance(out, Infeasible)  # the origin is always feasible
+
+
+# A pivot that corrupts the right side of its row by +1.  Every later step is
+# exact, so the returned assignment solves a different system and the
+# post-solve certification must reject it, whatever the interpreter mode.
+CORRUPTED_PIVOT = """
+import sys
+from fractions import Fraction as F
+from weakstar import numerics
+from weakstar.errors import CertificateError
+
+pivot = numerics._Simplex._pivot
+
+def corrupted(self, r, e, update_costs=True):
+    pivot(self, r, e, update_costs)
+    self.b[r] += self.den[r]
+
+problem = (["x", "y"], {"x": F(1), "y": F(1)},
+           [({"x": F(1), "y": F(2)}, "<=", F(4)), ({"x": F(3), "y": F(1)}, "<=", F(6))])
+print("optimize", sys.flags.optimize)
+print("clean", numerics.solve_bounded(*problem).value)
+numerics._Simplex._pivot = corrupted
+try:
+    numerics.solve_bounded(*problem)
+except CertificateError as exc:
+    print("rejected", exc)
+else:
+    print("accepted")
+"""
+
+
+def run_corrupted_pivot(*flags):
+    src = str(Path(numerics.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", CORRUPTED_PIVOT], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+class TestCertification:
+    def test_corrupted_pivot_is_rejected_under_optimize(self):
+        lines = run_corrupted_pivot("-O")
+        assert lines[0] == "optimize 1"
+        assert lines[1] == "clean 14/5"
+        assert lines[2].startswith("rejected ")
+
+    def test_corrupted_pivot_is_rejected_without_optimize(self):
+        lines = run_corrupted_pivot()
+        assert lines[0] == "optimize 0"
+        assert lines[2].startswith("rejected ")
+
+    def test_certificate_error_is_not_an_input_error(self):
+        assert issubclass(CertificateError, WeakstarError)
+        assert not issubclass(CertificateError, (ParseError, PreconditionError))
