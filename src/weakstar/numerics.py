@@ -482,7 +482,6 @@ class _Simplex:
                 ncols += 1
         nslack_end = ncols
 
-        # Rational rows first: they become the pristine copy M0/b0.
         rows: list[list[Fraction]] = []
         self.b0: list[Fraction] = []
         self.row_sign: list[int] = []
@@ -697,8 +696,8 @@ class _Simplex:
                 if best_n is None:
                     better = True
                 else:
-                    lhs, rhs = tn * best_d, best_n * td
-                    better = lhs < rhs or (lhs == rhs and bvar < best_var)
+                    left, right = tn * best_d, best_n * td
+                    better = left < right or (left == right and bvar < best_var)
                 if better:
                     best_n, best_d, best_kind, best_row, best_var = tn, td, kind, i, bvar
             if best_n is None:

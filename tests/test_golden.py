@@ -19,6 +19,7 @@ import io
 import os
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -94,8 +95,6 @@ def test_every_command_is_covered():
 
 
 def regenerate() -> None:
-    import tempfile
-
     shutil.rmtree(EXPECTED, ignore_errors=True)
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:

@@ -2,9 +2,9 @@
 
 Both engines follow the same pivot rule with exact comparisons, so they must
 agree on every outcome exactly: the same outcome type and an equal value,
-assignment, ray or list of row multipliers.  The explicit cases pin the paths
-random programs reach rarely; each one also checks, through the oracle's own
-state, that the path it names was really taken.
+assignment, ray or list of row multipliers.  The explicit cases pin paths
+that random programs reach rarely; the duplicate-row case also checks,
+through the oracle's own state, that a row was really dropped.
 """
 
 from __future__ import annotations
@@ -55,11 +55,6 @@ def assert_same_outcome(variables, objective, rows, lower=None, upper=None, sens
     return got
 
 
-def oracle_run(variables, objective, rows, lower=None, upper=None, sense="max"):
-    solver = OracleSimplex(variables, objective, rows, lower or {}, upper or {}, sense)
-    return solver, solver.run()
-
-
 @settings(max_examples=400, deadline=None)
 @given(bounded_lps())
 def test_engines_agree_on_random_bounded_lps(lp):
@@ -71,7 +66,8 @@ def test_duplicate_row_is_dropped():
     variables = ["x", "y"]
     objective = {"x": F(1), "y": F(2)}
     rows = [({"x": F(1), "y": F(1)}, "=", F(1)), ({"x": F(1), "y": F(1)}, "=", F(1))]
-    solver, _ = oracle_run(variables, objective, rows)
+    solver = OracleSimplex(variables, objective, rows, {}, {}, "max")
+    solver.run()
     assert solver.dropped_rows
     outcome = assert_same_outcome(variables, objective, rows)
     assert outcome == BoundedOptimal(F(2), {"x": F(0), "y": F(1)})
