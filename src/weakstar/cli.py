@@ -26,7 +26,7 @@ from math import inf
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import ParseError, PreconditionError
+from .errors import CertificateError, ParseError, PreconditionError
 from .faces import exposed_all, fan_directions, inscribed_polygon
 from .geometry import (
     PointSet,
@@ -436,7 +436,10 @@ def cmd_limits(args: argparse.Namespace) -> int:
         raise ParseError(f"{args.manifest}: 'sets' must be a nonempty list of file paths")
     set_paths = [str(base / p) for p in raw_sets]
     bodies = [load_body(p) for p in set_paths]
-    tolerance = as_rational(doc.get("tolerance", "0"))
+    try:
+        tolerance = as_rational(doc.get("tolerance", "0"))
+    except TypeError as exc:
+        raise ParseError(f"{args.manifest}: 'tolerance' must be a rational string") from exc
     stabilization = doc.get("stabilization_index", 0)
     if not isinstance(stabilization, int) or isinstance(stabilization, bool):
         raise ParseError(f"{args.manifest}: 'stabilization_index' must be an integer")
@@ -519,7 +522,9 @@ def cmd_demo(args: argparse.Namespace) -> int:
     config = {"spikes": args.spikes, "directions": args.directions, "seed": args.seed}
     manifest = _manifest(args, [], config)
 
+    # Both inputs validate their parameters; build them before printing anything.
     report = counterexample_demo(args.spikes)
+    directions = fan_directions(args.directions, args.seed)
     print("escaping-spike family: pointwise-null sequence at constant metric scale")
     spike_rows = []
     for m, (spike, distance) in enumerate(zip(report.spikes, report.distances), start=1):
@@ -529,14 +534,14 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print(f"  largest l1 norm over the hull: {rational_to_str(report.max_l1)}")
 
     print("polygon degeneracy sweep: hull vs vertex set on nested boundary grids")
-    directions = fan_directions(args.directions, args.seed)
     worst: list[Fraction] = []
     sweep_rows = []
     for k in range(3, 7):
         polygon = inscribed_polygon(k)
         net = PointSet(polygon.vertices)
         gap = max(pseudometric_dH(polygon, net, direction) for direction in directions)
-        assert isinstance(gap, Fraction)
+        if not isinstance(gap, Fraction):
+            raise CertificateError(f"bounded polygons gave an infinite directional gap at k={k}")
         worst.append(gap)
         print(f"  k={k} generators {len(polygon.vertices)} worst directional gap {rational_to_str(gap)}")
         _print_approx(args, f"gap k={k}", gap)

@@ -24,12 +24,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import BadParameter, NotAVertex, NotInNormalizingSet, UnboundedInput
-from .geometry import PointSet, Polyhedron, closed_convex_hull
+from .geometry import Polyhedron, closed_convex_hull, max_gap_functional
 from .hypermetrics import MetricConfig, metric_d
-from .numerics import BoundedOptimal, SparseVec, pair, solve_bounded
+from .numerics import SparseVec, pair
 
 __all__ = [
     "ExposureCertificate",
@@ -77,31 +77,11 @@ class DeviationEstimate:
     isolation_threshold: Optional[int]
 
 
-def _margin_functional(vertex: SparseVec, others: Sequence[SparseVec]) -> tuple[SparseVec, Fraction]:
-    """Box-normalized functional maximizing the worst pairing gap to ``others``."""
-    coords: set[int] = set(vertex.support)
-    for w in others:
-        coords.update(w.support)
-    ks = sorted(coords)
-    variables = [("a", k) for k in ks] + [("gap",)]
-    lower = {("a", k): Fraction(-1) for k in ks}
-    upper = {("a", k): Fraction(1) for k in ks}
-    rows = []
-    for w in others:
-        coeffs = {("a", k): vertex.get(k) - w.get(k) for k in ks}
-        coeffs[("gap",)] = Fraction(-1)
-        rows.append((coeffs, ">=", Fraction(0)))
-    out = solve_bounded(variables, {("gap",): Fraction(1)}, rows, lower=lower, upper=upper, sense="max")
-    assert isinstance(out, BoundedOptimal)
-    return SparseVec({k: out.assignment[("a", k)] for k in ks}), out.value
-
-
 def _certificate(vertex: SparseVec, all_vertices: Sequence[SparseVec]) -> ExposureCertificate:
     others = [w for w in all_vertices if w != vertex]
     if not others:
         return ExposureCertificate(vertex, SparseVec.zero(), Fraction(1))
-    functional, margin = _margin_functional(vertex, others)
-    assert margin > 0, "every vertex of a polytope admits a positive exposure margin"
+    functional, margin = max_gap_functional(vertex, others)
     return ExposureCertificate(vertex, functional, margin)
 
 
@@ -155,6 +135,25 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
+def convex_combinations(
+    vertices: Sequence[SparseVec], denominator: int, newest_only: bool = False
+) -> Iterator[SparseVec]:
+    """The combinations of ``vertices`` with weights ``c_i / denominator``, in composition order.
+
+    With ``newest_only`` only combinations that give the last vertex a
+    positive weight are emitted; the rest are combinations of the earlier
+    vertices alone.
+    """
+    for combo in compositions(denominator, len(vertices)):
+        if newest_only and combo[-1] == 0:
+            continue
+        point = SparseVec.zero()
+        for coeff, v in zip(combo, vertices):
+            if coeff:
+                point = point + v.scale(Fraction(coeff, denominator))
+        yield point
+
+
 def _sample_points(vertices: Sequence[SparseVec], budget: int) -> Iterator[SparseVec]:
     """Deterministic rational convex combinations, coarse denominators first.
 
@@ -166,11 +165,7 @@ def _sample_points(vertices: Sequence[SparseVec], budget: int) -> Iterator[Spars
     denominator = 1
     while emitted < budget:
         layer_grew = False
-        for combo in compositions(denominator, len(vertices)):
-            point = SparseVec.zero()
-            for coeff, v in zip(combo, vertices):
-                if coeff:
-                    point = point + v.scale(Fraction(coeff, denominator))
+        for point in convex_combinations(vertices, denominator):
             if point in seen:
                 continue
             seen.add(point)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import inf
 from typing import Iterable, Sequence, Union
 
-from .errors import BadParameter, UnboundedInput
+from .errors import BadParameter, CertificateError, UnboundedInput
 from .numerics import (
     BoundedOptimal,
     RationalLike,
@@ -190,6 +190,36 @@ def _combination_feasible(
         rows.append((coeffs, "=", target.get(k)))
     out = solve_bounded(variables, {}, rows, sense="min")
     return isinstance(out, BoundedOptimal)
+
+
+def max_gap_functional(
+    target: SparseVec, others: Sequence[SparseVec], blocked: Sequence[SparseVec] = ()
+) -> tuple[SparseVec, Fraction]:
+    """The functional ``a`` in the unit sup-box maximizing the smallest gap to ``others``.
+
+    Maximizes ``gap`` subject to ``a . (target - w) >= gap`` for each ``w`` in
+    ``others`` and ``a . s <= 0`` for each ``s`` in ``blocked``.  Gives exposure
+    margins, separating functionals and, with ``others`` the origin, escape
+    directions.  Returns ``(a, gap)``; the gap must be positive.
+    """
+    coords: set[int] = set(target.support)
+    for g in (*others, *blocked):
+        coords.update(g.support)
+    ks = sorted(coords)
+    variables = [("a", k) for k in ks] + [("gap",)]
+    lower = {("a", k): Fraction(-1) for k in ks}
+    upper = {("a", k): Fraction(1) for k in ks}
+    rows = []
+    for w in others:
+        coeffs = {("a", k): target.get(k) - w.get(k) for k in ks}
+        coeffs[("gap",)] = Fraction(-1)
+        rows.append((coeffs, ">=", Fraction(0)))
+    for s in blocked:
+        rows.append(({("a", k): s.get(k) for k in ks}, "<=", Fraction(0)))
+    out = solve_bounded(variables, {("gap",): Fraction(1)}, rows, lower=lower, upper=upper, sense="max")
+    if not isinstance(out, BoundedOptimal) or not out.value > 0:
+        raise CertificateError(f"largest-gap LP gave {type(out).__name__} without a positive gap")
+    return SparseVec({k: out.assignment[("a", k)] for k in ks}), out.value
 
 
 def membership(sigma: SparseVec, body: SetLike) -> bool:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import inf
 from typing import Optional, Union
 
-from .errors import BadParameter, NotInNormalizingSet, UnboundedInput
+from .errors import BadParameter, CertificateError, NotInNormalizingSet, UnboundedInput
 from .geometry import (
     FinitePoints,
     Interval,
@@ -35,6 +35,7 @@ from .geometry import (
     PolarSpec,
     Polyhedron,
     ScalarSet,
+    max_gap_functional,
     membership,
     polar_contains,
     recession_rays,
@@ -259,7 +260,8 @@ def point_body_distance(sigma: SparseVec, body: Polyhedron, cfg: MetricConfig = 
     objective[("zp",)] = Fraction(-1)
     objective[("zm",)] = Fraction(1)
     out = solve_bounded(variables, objective, rows, lower=lower, upper=upper, sense="max")
-    assert isinstance(out, BoundedOptimal)
+    if not isinstance(out, BoundedOptimal):
+        raise CertificateError(f"distance LP gave {type(out).__name__}, not an optimum")
     return out.value
 
 
@@ -284,25 +286,6 @@ def hausdorff_full(first: Polyhedron, second: Polyhedron, cfg: MetricConfig = Me
 # ---------------------------------------------------------------------------
 
 
-def _separate_from_hull(target: SparseVec, hull: Polyhedron) -> SparseVec:
-    """A functional with pairing margin > 0 between target and every hull vertex."""
-    coords: set[int] = set(target.support)
-    for q in hull.vertices:
-        coords.update(q.support)
-    ks = sorted(coords)
-    variables = [("a", k) for k in ks] + [("gap",)]
-    lower = {("a", k): Fraction(-1) for k in ks}
-    upper = {("a", k): Fraction(1) for k in ks}
-    rows = []
-    for q in hull.vertices:
-        coeffs = {("a", k): target.get(k) - q.get(k) for k in ks}
-        coeffs[("gap",)] = Fraction(-1)
-        rows.append((coeffs, ">=", Fraction(0)))
-    out = solve_bounded(variables, {("gap",): Fraction(1)}, rows, lower=lower, upper=upper, sense="max")
-    assert isinstance(out, BoundedOptimal) and out.value > 0, "separation LP must find a positive gap"
-    return SparseVec({k: out.assignment[("a", k)] for k in ks})
-
-
 def separating_direction(first: Polyhedron, second: Polyhedron) -> Optional[SparseVec]:
     """A functional whose image Hausdorff distance is positive, if hulls differ.
 
@@ -314,7 +297,7 @@ def separating_direction(first: Polyhedron, second: Polyhedron) -> Optional[Spar
     for target, hull in ((first, second), (second, first)):
         for v in target.vertices:
             if not membership(v, hull):
-                return _separate_from_hull(v, hull)
+                return max_gap_functional(v, hull.vertices)[0]
     return None
 
 
@@ -332,27 +315,8 @@ def immeasurable_witness(first: Polyhedron, second: Polyhedron) -> Optional[Spar
         for r in rays:
             if membership(r, other):
                 continue
-            return _escape_direction(r, other_rays)
+            return max_gap_functional(r, [SparseVec.zero()], other_rays)[0]
     return None
-
-
-def _escape_direction(ray: SparseVec, blocked: list[SparseVec]) -> SparseVec:
-    """A functional strictly positive on ray, nonpositive on every blocked ray."""
-    coords: set[int] = set(ray.support)
-    for s in blocked:
-        coords.update(s.support)
-    ks = sorted(coords)
-    variables = [("a", k) for k in ks] + [("gap",)]
-    lower = {("a", k): Fraction(-1) for k in ks}
-    upper = {("a", k): Fraction(1) for k in ks}
-    escape_row = {("a", k): ray.get(k) for k in ks}
-    escape_row[("gap",)] = Fraction(-1)
-    rows = [(escape_row, ">=", Fraction(0))]
-    for s in blocked:
-        rows.append(({("a", k): s.get(k) for k in ks}, "<=", Fraction(0)))
-    out = solve_bounded(variables, {("gap",): Fraction(1)}, rows, lower=lower, upper=upper, sense="max")
-    assert isinstance(out, BoundedOptimal) and out.value > 0, "escape LP must find a positive gap"
-    return SparseVec({k: out.assignment[("a", k)] for k in ks})
 
 
 # ---------------------------------------------------------------------------

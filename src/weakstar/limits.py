@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BadParameter, NotInNormalizingSet, NotNested
+from .errors import BadParameter, CertificateError, NotInNormalizingSet, NotNested
 from .geometry import PointSet, Polyhedron, closed_convex_hull, membership
 from .hypermetrics import MetricConfig, hausdorff_full, metric_d, point_body_distance
 from .numerics import RationalLike, SparseVec, as_rational, l1_norm
@@ -147,8 +147,8 @@ def monotone_limit(
         pooled.extend(body.vertices)
     limit = closed_convex_hull(Polyhedron(pooled))
     table = tuple(hausdorff_full(body, limit, cfg) for body in seq.sets)
-    assert all(a >= b for a, b in zip(table, table[1:]))
-    assert table[-1] == 0
+    if any(a < b for a, b in zip(table, table[1:])) or table[-1] != 0:
+        raise CertificateError("distance table of a nested chain must fall to 0")
     return limit, table
 
 

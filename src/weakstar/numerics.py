@@ -7,16 +7,20 @@ only non-rational value that appears anywhere is ``math.inf``, used as a
 first-class "infinite distance / unbounded objective" marker, never as an
 approximation of a finite number.
 
+``solve_bounded`` is the one linear-program entry point: ordered variables with
+finite lower and optional upper bounds (a caller splits a free variable into a
+nonnegative pair) and rows with ``<=``, ``=`` or ``>=``.
+
 The solver is a two-phase primal simplex with Bland's anti-cycling rule.
-Variables may carry finite lower/upper bounds, which are handled implicitly
-(bound substitution) instead of as explicit rows; that keeps the tableaus
-small for the box- and simplex-constrained programs the geometry modules
-generate.  The tableau is fraction-free: each row is a list of integers over
-one positive denominator, kept in lowest terms, so a pivot is integer
-arithmetic on the pivot row's nonzero columns (the integer-preserving update
-of Bareiss, as applied to the simplex method by Azulay and Pique).  Ratio
-tests compare integer pairs by cross-multiplication, so every decision, and
-hence every pivot, is the one exact rational arithmetic would make.
+Bounds are handled implicitly (bound substitution) instead of as explicit
+rows; that keeps the tableaus small for the box- and simplex-constrained
+programs the geometry modules generate.  The tableau is fraction-free: each
+row is a list of integers over one positive denominator, kept in lowest
+terms, so a pivot is integer arithmetic on the pivot row's nonzero columns
+(the integer-preserving update of Bareiss, as applied to the simplex method
+by Azulay and Pique).  Ratio tests compare integer pairs by
+cross-multiplication, so every decision, and hence every pivot, is the one
+exact rational arithmetic would make.
 
 Every outcome carries an exactly checkable witness and is re-verified, in
 ``Fraction`` arithmetic against the caller's unmodified rows, before being
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from typing import Hashable, Iterable, Mapping, Sequence, Union
 
 from .errors import CertificateError, ParseError
@@ -40,18 +44,10 @@ __all__ = [
     "pair",
     "l1_norm",
     "sup_norm",
-    "LpRow",
-    "LpProblem",
-    "Optimal",
-    "Unbounded",
-    "Infeasible",
-    "LpOutcome",
-    "lp_solve",
     "solve_bounded",
     "BoundedOptimal",
     "BoundedUnbounded",
     "BoundedInfeasible",
-    "verify_outcome",
     "rational_from_str",
     "rational_to_str",
 ]
@@ -64,10 +60,10 @@ _RELATIONS = (LE, EQ, GE)
 
 
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce ints, strings like ``-3/4``, and Fractions to an exact Fraction."""
+    """Coerce ints (but not bools), strings like ``-3/4``, and Fractions to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return rational_from_str(value)
@@ -102,7 +98,7 @@ class SparseVec:
         items = entries.items() if isinstance(entries, Mapping) else entries
         cleaned: dict[int, Fraction] = {}
         for index, value in items:
-            if not isinstance(index, int) or index < 0:
+            if not isinstance(index, int) or isinstance(index, bool) or index < 0:
                 raise ValueError(f"coordinate index must be a natural number, got {index!r}")
             q = as_rational(value)
             if q:
@@ -202,161 +198,6 @@ def sup_norm(vec: SparseVec) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Public linear-program interface: free variables, explicit rows only.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LpRow:
-    coeffs: SparseVec
-    relation: str  # one of "<=", "=", ">="
-    rhs: Fraction
-
-    def __post_init__(self):
-        if self.relation not in _RELATIONS:
-            raise ValueError(f"relation must be one of {_RELATIONS}, got {self.relation!r}")
-        object.__setattr__(self, "rhs", as_rational(self.rhs))
-
-
-@dataclass(frozen=True)
-class LpProblem:
-    """Objective plus constraint rows over free rational variables."""
-
-    objective: SparseVec
-    rows: tuple[LpRow, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-
-    def variables(self) -> list[int]:
-        seen: set[int] = set(self.objective.support)
-        for row in self.rows:
-            seen.update(row.coeffs.support)
-        return sorted(seen)
-
-
-@dataclass(frozen=True)
-class Optimal:
-    value: Fraction
-    witness: SparseVec
-
-
-@dataclass(frozen=True)
-class Unbounded:
-    ray: SparseVec
-
-
-@dataclass(frozen=True)
-class Infeasible:
-    """Row multipliers proving infeasibility.
-
-    With ``y`` aligned to the problem rows, validity means: y_i <= 0 on "<="
-    rows, y_i >= 0 on ">=" rows, the combined coefficient vector sum_i y_i a_i
-    is identically zero, and sum_i y_i b_i > 0.  Any feasible x would then give
-    0 = (sum y_i a_i) . x >= sum y_i b_i > 0.
-    """
-
-    certificate: tuple[Fraction, ...]
-
-
-LpOutcome = Union[Optimal, Unbounded, Infeasible]
-
-
-def lp_solve(problem: LpProblem, sense: str = "max") -> LpOutcome:
-    """Solve an exact LP over free variables, returning a checked witness.
-
-    ``sense`` is ``"max"`` or ``"min"``.  Free variables are split into
-    nonnegative pairs internally and handed to the bounded-variable engine.
-    """
-    if sense not in ("max", "min"):
-        raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
-    coords = problem.variables()
-    variables: list[Hashable] = []
-    for c in coords:
-        variables.append(("p", c))
-        variables.append(("m", c))
-
-    def split(vec: SparseVec) -> dict[Hashable, Fraction]:
-        out: dict[Hashable, Fraction] = {}
-        for c, v in vec.items():
-            out[("p", c)] = v
-            out[("m", c)] = -v
-        return out
-
-    rows = [(split(row.coeffs), row.relation, row.rhs) for row in problem.rows]
-    outcome = solve_bounded(variables, split(problem.objective), rows, sense=sense)
-
-    def recombine(assignment: Mapping[Hashable, Fraction]) -> SparseVec:
-        return SparseVec(
-            {c: assignment.get(("p", c), Fraction(0)) - assignment.get(("m", c), Fraction(0)) for c in coords}
-        )
-
-    if isinstance(outcome, BoundedOptimal):
-        result: LpOutcome = Optimal(outcome.value, recombine(outcome.assignment))
-    elif isinstance(outcome, BoundedUnbounded):
-        result = Unbounded(recombine(outcome.ray))
-    else:
-        result = Infeasible(tuple(outcome.row_multipliers))
-    ok, reason = verify_outcome(problem, sense, result)
-    if not ok:  # pragma: no cover - solver self-check
-        raise CertificateError(f"LP solver produced an invalid witness: {reason}")
-    return result
-
-
-def verify_outcome(problem: LpProblem, sense: str, outcome: LpOutcome) -> tuple[bool, str]:
-    """Exactly re-check an LP outcome's witness against the problem data."""
-    if isinstance(outcome, Optimal):
-        for i, row in enumerate(problem.rows):
-            lhs = pair(row.coeffs, outcome.witness)
-            if row.relation == LE and not lhs <= row.rhs:
-                return False, f"optimal witness violates row {i}"
-            if row.relation == GE and not lhs >= row.rhs:
-                return False, f"optimal witness violates row {i}"
-            if row.relation == EQ and lhs != row.rhs:
-                return False, f"optimal witness violates row {i}"
-        if pair(problem.objective, outcome.witness) != outcome.value:
-            return False, "optimal witness does not attain the reported value"
-        return True, "ok"
-    if isinstance(outcome, Unbounded):
-        if not outcome.ray:
-            return False, "unbounded ray is zero"
-        for i, row in enumerate(problem.rows):
-            drift = pair(row.coeffs, outcome.ray)
-            if row.relation == LE and drift > 0:
-                return False, f"ray escapes row {i}"
-            if row.relation == GE and drift < 0:
-                return False, f"ray escapes row {i}"
-            if row.relation == EQ and drift != 0:
-                return False, f"ray escapes row {i}"
-        gain = pair(problem.objective, outcome.ray)
-        if sense == "max" and not gain > 0:
-            return False, "ray does not improve the maximization objective"
-        if sense == "min" and not gain < 0:
-            return False, "ray does not improve the minimization objective"
-        return True, "ok"
-    if isinstance(outcome, Infeasible):
-        y = outcome.certificate
-        if len(y) != len(problem.rows):
-            return False, "certificate length mismatch"
-        combined: dict[int, Fraction] = {}
-        total = Fraction(0)
-        for mult, row in zip(y, problem.rows):
-            if row.relation == LE and mult > 0:
-                return False, "positive multiplier on a <= row"
-            if row.relation == GE and mult < 0:
-                return False, "negative multiplier on a >= row"
-            for c, v in row.coeffs.items():
-                combined[c] = combined.get(c, Fraction(0)) + mult * v
-            total += mult * row.rhs
-        if any(v != 0 for v in combined.values()):
-            return False, "combined certificate row is not identically zero"
-        if not total > 0:
-            return False, "certificate does not reach a contradiction"
-        return True, "ok"
-    return False, f"unknown outcome type {type(outcome)!r}"
-
-
-# ---------------------------------------------------------------------------
 # Bounded-variable simplex engine.
 #
 # Callers describe: an ordered variable list (the order fixes Bland's rule and
@@ -378,6 +219,13 @@ class BoundedUnbounded:
 
 @dataclass(frozen=True)
 class BoundedInfeasible:
+    """Row multipliers ``y`` proving infeasibility (a Farkas certificate).
+
+    Validity means: y_i <= 0 on "<=" rows, y_i >= 0 on ">=" rows, and with
+    g = sum_i y_i a_i, sum_i y_i b_i exceeds the largest g . x over the variable
+    bounds.  Any feasible x would give g . x >= sum_i y_i b_i, a contradiction.
+    """
+
     row_multipliers: list[Fraction]
 
 
@@ -398,7 +246,7 @@ def solve_bounded(
     """Exact simplex over ``lower <= x <= upper`` (lower defaults to 0, upper to +inf).
 
     Returns an optimal assignment, an improving ray, or row multipliers
-    proving infeasibility (same convention as ``Infeasible``).  All three are
+    proving infeasibility (see ``BoundedInfeasible``).  All three are
     re-checked exactly before returning.
     """
     solver = _Simplex(variables, objective, rows, lower or {}, upper or {}, sense)

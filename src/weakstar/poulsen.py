@@ -30,7 +30,7 @@ from .errors import (
     UnboundedInput,
     VariantPreconditionViolated,
 )
-from .faces import ExposureCertificate, compositions, exposure_certificate
+from .faces import ExposureCertificate, convex_combinations, exposure_certificate
 from .geometry import PolarSpec, Polyhedron, closed_convex_hull, membership, polar_contains
 from .hypermetrics import MetricConfig, hausdorff_full
 from .numerics import RationalLike, SparseVec, as_rational, pair, rational_to_str
@@ -95,24 +95,6 @@ def scheduler_start(vertices: Sequence[SparseVec]) -> SchedulerState:
     )
 
 
-def _stage_candidates(stage_vertices: tuple[SparseVec, ...], denominator: int, newest_only: bool):
-    """Combinations of one stage at one denominator, in composition order.
-
-    Stages after the first only contribute combinations that actually use
-    their newest vertex: the rest re-enumerate the previous stage and would be
-    discarded as duplicates anyway.
-    """
-    count = len(stage_vertices)
-    for combo in compositions(denominator, count):
-        if newest_only and combo[-1] == 0:
-            continue
-        point = SparseVec.zero()
-        for coeff, v in zip(combo, stage_vertices):
-            if coeff:
-                point = point + v.scale(Fraction(coeff, denominator))
-        yield point
-
-
 def _next_fresh(state: SchedulerState) -> tuple[Optional[SparseVec], SchedulerState]:
     """Advance the diagonal enumeration to the next never-enqueued candidate.
 
@@ -128,7 +110,9 @@ def _next_fresh(state: SchedulerState) -> tuple[Optional[SparseVec], SchedulerSt
             block, stage, position = block + 1, 0, 0
             continue
         denominator = block - stage
-        run = _stage_candidates(state.stages[stage], denominator, newest_only=stage > 0)
+        # Stages after the first only contribute combinations that use their
+        # newest vertex; the rest re-enumerate the previous stage.
+        run = convex_combinations(state.stages[stage], denominator, newest_only=stage > 0)
         found = None
         for point in islice(run, position, None):
             position += 1

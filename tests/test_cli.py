@@ -315,6 +315,13 @@ class TestLimits:
         assert report["verdicts"][1]["in_lower_limit"] is False
         assert report["verdicts"][1]["in_upper_limit"] is True
 
+    @pytest.mark.parametrize("tolerance", [True, 0.5])
+    def test_non_string_tolerance_is_a_parse_error(self, tmp_path, capsys, tolerance):
+        candidates = write_doc(tmp_path / "cands.json", points_doc({}))
+        query = self.nested_query(tmp_path, {"tolerance": tolerance, "candidates": "cands.json"})
+        assert cli.main(["limits", query]) == 2
+        assert "'tolerance'" in capsys.readouterr().err
+
     def test_non_nested_monotone_query_violates_precondition(self, tmp_path, capsys):
         write_doc(tmp_path / "seg1.json", poly_doc([{}, {0: "1/2"}]))
         write_doc(tmp_path / "seg2.json", poly_doc([{}, {0: "1/4"}]))
@@ -370,6 +377,13 @@ class TestDemo:
         assert report["spike_family"]["max_l1"] == "32/1"
         assert report["polygon_sweep"]["ratios"] == ["2/1", "2/1", "2/1"]
         assert [row["generators"] for row in report["polygon_sweep"]["rows"]] == [8, 16, 32, 64]
+
+    @pytest.mark.parametrize("flag", ["--directions", "--spikes"])
+    def test_bad_parameter_rejected_before_any_output(self, capsys, flag):
+        assert cli.main(["demo", flag, "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "BadParameter" in captured.err
 
     def test_demo_output_is_deterministic(self, capsys):
         assert cli.main(["demo", "--spikes", "2"]) == 0

@@ -11,18 +11,15 @@ from hypothesis import strategies as st
 from weakstar import numerics
 from weakstar.errors import CertificateError, ParseError, PreconditionError, WeakstarError
 from weakstar.numerics import (
-    Infeasible,
-    LpProblem,
-    LpRow,
-    Optimal,
+    BoundedInfeasible,
+    BoundedOptimal,
+    BoundedUnbounded,
     SparseVec,
-    Unbounded,
+    as_rational,
     l1_norm,
-    lp_solve,
     pair,
     solve_bounded,
     sup_norm,
-    verify_outcome,
 )
 
 F = Fraction
@@ -74,6 +71,14 @@ class TestSparseVec:
     def test_hashable(self):
         assert len({SparseVec({0: 1}), SparseVec({0: F(2, 2)}), SparseVec.zero()}) == 2
 
+    def test_bool_index_and_value_rejected(self):
+        with pytest.raises(ValueError):
+            SparseVec({True: 1})
+        with pytest.raises(TypeError):
+            SparseVec({0: True})
+        with pytest.raises(TypeError):
+            as_rational(False)
+
 
 class TestPairAndNorms:
     def test_single_coordinate_pairing(self):
@@ -106,111 +111,124 @@ class TestPairAndNorms:
         assert abs(pair(a, s)) <= sup_norm(a) * l1_norm(s)
 
 
-def rows(*triples):
-    return tuple(LpRow(coeffs, rel, F(rhs)) for coeffs, rel, rhs in triples)
+def dot(coeffs, x):
+    return sum((F(c) * x.get(v, 0) for v, c in coeffs.items()), F(0))
+
+
+def check_outcome(variables, objective, rows, out, *, lower=None, upper=None, sense="max"):
+    """Re-check an outcome against the problem data, independently of the engine."""
+    lower, upper = lower or {}, upper or {}
+
+    def holds(lhs, rel, rhs):
+        return {"<=": lhs <= rhs, "=": lhs == rhs, ">=": lhs >= rhs}[rel]
+
+    if isinstance(out, BoundedOptimal):
+        x = out.assignment
+        assert all(lower.get(v, 0) <= x[v] and (v not in upper or x[v] <= upper[v]) for v in variables)
+        assert all(holds(dot(coeffs, x), rel, rhs) for coeffs, rel, rhs in rows)
+        assert dot(objective, x) == out.value
+    elif isinstance(out, BoundedUnbounded):
+        ray = out.ray
+        assert ray and all(ray.get(v, 0) >= 0 and (v not in upper or ray.get(v, 0) == 0) for v in variables)
+        assert all(holds(dot(coeffs, ray), rel, 0) for coeffs, rel, _ in rows)
+        gain = dot(objective, ray)
+        assert gain > 0 if sense == "max" else gain < 0
+    else:
+        y = out.row_multipliers
+        assert len(y) == len(rows)
+        assert all((rel != "<=" or m <= 0) and (rel != ">=" or m >= 0) for m, (_, rel, _) in zip(y, rows))
+        g = {v: sum((m * F(coeffs.get(v, 0)) for m, (coeffs, _, _) in zip(y, rows)), F(0)) for v in variables}
+        # Any feasible x has g . x >= sum y_i b_i; the box caps g . x below it.
+        assert all(c <= 0 or v in upper for v, c in g.items())
+        box_max = sum((c * (upper[v] if c > 0 else lower.get(v, 0)) for v, c in g.items() if c), F(0))
+        assert sum((m * F(rhs) for m, (_, _, rhs) in zip(y, rows)), F(0)) > box_max
+
+
+def split(coeffs):
+    """A free variable i as the difference of nonnegative ("+", i) and ("-", i)."""
+    out = {}
+    for i, c in coeffs.items():
+        out[("+", i)], out[("-", i)] = F(c), -F(c)
+    return out
+
+
+def joined(assignment, n):
+    return {i: assignment[("+", i)] - assignment[("-", i)] for i in range(n)}
 
 
 class TestLpSolve:
+    """Small programs with known optima and witnesses."""
+
     def test_single_upper_bound(self):
-        p = LpProblem(vec(x0=F(1)), rows((vec(x0=F(1)), "<=", 3)))
-        out = lp_solve(p, "max")
-        assert out == Optimal(F(3), SparseVec({0: 3}))
+        out = solve_bounded([0], {0: F(1)}, [({0: F(1)}, "<=", F(3))], sense="max")
+        assert out == BoundedOptimal(F(3), {0: F(3)})
 
     def test_unbounded_direction(self):
-        p = LpProblem(vec(x0=F(1)), rows((vec(x0=F(1)), ">=", 0)))
-        out = lp_solve(p, "max")
-        assert isinstance(out, Unbounded)
-        assert pair(p.objective, out.ray) > 0
+        out = solve_bounded([0], {0: F(1)}, [({0: F(1)}, ">=", F(0))], sense="max")
+        assert isinstance(out, BoundedUnbounded)
+        assert dot({0: F(1)}, out.ray) > 0
 
     def test_triangle(self):
-        p = LpProblem(
-            vec(x0=F(1), x1=F(1)),
-            rows(
-                (vec(x0=F(1)), ">=", 0),
-                (vec(x1=F(1)), ">=", 0),
-                (vec(x0=F(1), x1=F(1)), "<=", 1),
-            ),
-        )
-        out = lp_solve(p, "max")
-        assert isinstance(out, Optimal)
+        rows = [({0: F(1)}, ">=", F(0)), ({1: F(1)}, ">=", F(0)), ({0: F(1), 1: F(1)}, "<=", F(1))]
+        out = solve_bounded([0, 1], {0: F(1), 1: F(1)}, rows, sense="max")
+        assert isinstance(out, BoundedOptimal)
         assert out.value == 1
 
     def test_infeasible_certificate(self):
-        p = LpProblem(
-            vec(x0=F(1)),
-            rows((vec(x0=F(1)), "<=", 0), (vec(x0=F(1)), ">=", 1)),
-        )
-        out = lp_solve(p, "max")
-        assert isinstance(out, Infeasible)
-        ok, why = verify_outcome(p, "max", out)
-        assert ok, why
+        # The finite lower bound lets x0 go negative, so only the rows conflict.
+        rows = [({0: F(1)}, "<=", F(0)), ({0: F(1)}, ">=", F(1))]
+        out = solve_bounded([0], {0: F(1)}, rows, lower={0: F(-5)}, sense="max")
+        assert isinstance(out, BoundedInfeasible)
+        check_outcome([0], {0: F(1)}, rows, out, lower={0: F(-5)})
 
     def test_minimization(self):
-        p = LpProblem(
-            vec(x0=F(1), x1=F(2)),
-            rows(
-                (vec(x0=F(1), x1=F(1)), ">=", 1),
-                (vec(x0=F(1)), ">=", 0),
-                (vec(x1=F(1)), ">=", 0),
-            ),
-        )
-        out = lp_solve(p, "min")
-        assert isinstance(out, Optimal)
+        rows = [({0: F(1), 1: F(1)}, ">=", F(1)), ({0: F(1)}, ">=", F(0)), ({1: F(1)}, ">=", F(0))]
+        out = solve_bounded([0, 1], {0: F(1), 1: F(2)}, rows, sense="min")
+        assert isinstance(out, BoundedOptimal)
         assert out.value == 1
-        assert out.witness == SparseVec({0: 1})
+        assert out.assignment == {0: F(1), 1: F(0)}
 
     def test_equality_row(self):
-        p = LpProblem(
-            vec(x0=F(3), x1=F(1)),
-            rows(
-                (vec(x0=F(1), x1=F(1)), "=", 2),
-                (vec(x0=F(1)), "<=", F(1, 2)),
-                (vec(x1=F(1)), ">=", 0),
-                (vec(x0=F(1)), ">=", 0),
-            ),
-        )
-        out = lp_solve(p, "max")
-        assert isinstance(out, Optimal)
+        rows = [
+            ({0: F(1), 1: F(1)}, "=", F(2)),
+            ({0: F(1)}, "<=", F(1, 2)),
+            ({1: F(1)}, ">=", F(0)),
+            ({0: F(1)}, ">=", F(0)),
+        ]
+        out = solve_bounded([0, 1], {0: F(3), 1: F(1)}, rows, sense="max")
+        assert isinstance(out, BoundedOptimal)
         assert out.value == F(3, 2) + F(3, 2)
-        assert out.witness == SparseVec({0: F(1, 2), 1: F(3, 2)})
+        assert out.assignment == {0: F(1, 2), 1: F(3, 2)}
 
     def test_degenerate_cycling_guard(self):
         # A classically degenerate instance; Bland's rule must terminate.
-        p = LpProblem(
-            vec(x0=F(3, 4), x1=F(-150), x2=F(1, 50), x3=F(-6)),
-            rows(
-                (vec(x0=F(1, 4), x1=F(-60), x2=F(-1, 25), x3=F(9)), "<=", 0),
-                (vec(x0=F(1, 2), x1=F(-90), x2=F(-1, 50), x3=F(3)), "<=", 0),
-                (vec(x2=F(1)), "<=", 1),
-                (vec(x0=F(1)), ">=", 0),
-                (vec(x1=F(1)), ">=", 0),
-                (vec(x2=F(1)), ">=", 0),
-                (vec(x3=F(1)), ">=", 0),
-            ),
-        )
-        out = lp_solve(p, "max")
-        assert isinstance(out, Optimal)
+        rows = [
+            ({0: F(1, 4), 1: F(-60), 2: F(-1, 25), 3: F(9)}, "<=", F(0)),
+            ({0: F(1, 2), 1: F(-90), 2: F(-1, 50), 3: F(3)}, "<=", F(0)),
+            ({2: F(1)}, "<=", F(1)),
+            *(({i: F(1)}, ">=", F(0)) for i in range(4)),
+        ]
+        out = solve_bounded(list(range(4)), {0: F(3, 4), 1: F(-150), 2: F(1, 50), 3: F(-6)}, rows, sense="max")
+        assert isinstance(out, BoundedOptimal)
         assert out.value == F(1, 20)
 
     def test_negative_rhs_path(self):
-        p = LpProblem(
-            vec(x0=F(1)),
-            rows((vec(x0=F(1)), "<=", -2), (vec(x0=F(1)), ">=", -10)),
-        )
-        out = lp_solve(p, "max")
-        assert out == Optimal(F(-2), SparseVec({0: -2}))
+        # Split x0 so the rows keep their negative right-hand sides.
+        rows = [(split({0: 1}), "<=", F(-2)), (split({0: 1}), ">=", F(-10))]
+        out = solve_bounded([("+", 0), ("-", 0)], split({0: 1}), rows, sense="max")
+        assert isinstance(out, BoundedOptimal)
+        assert out.value == -2
+        assert joined(out.assignment, 1) == {0: F(-2)}
 
     def test_deterministic(self):
-        p = LpProblem(
-            vec(x0=F(1), x1=F(1)),
-            rows(
-                (vec(x0=F(1), x1=F(2)), "<=", 4),
-                (vec(x0=F(2), x1=F(1)), "<=", 4),
-                (vec(x0=F(1)), ">=", 0),
-                (vec(x1=F(1)), ">=", 0),
-            ),
-        )
-        assert lp_solve(p, "max") == lp_solve(p, "max")
+        rows = [
+            ({0: F(1), 1: F(2)}, "<=", F(4)),
+            ({0: F(2), 1: F(1)}, "<=", F(4)),
+            ({0: F(1)}, ">=", F(0)),
+            ({1: F(1)}, ">=", F(0)),
+        ]
+        problem = ([0, 1], {0: F(1), 1: F(1)}, rows)
+        assert solve_bounded(*problem, sense="max") == solve_bounded(*problem, sense="max")
 
 
 class TestSolveBounded:
@@ -277,16 +295,11 @@ def test_box_lp_against_closed_form(data):
     c = [t[0] for t in data]
     lo = [min(t[1], t[2]) for t in data]
     hi = [max(t[1], t[2]) for t in data]
-    p = LpProblem(
-        SparseVec({i: ci for i, ci in enumerate(c)}),
-        tuple(
-            LpRow(SparseVec.basis(i), rel, bound)
-            for i in range(len(c))
-            for rel, bound in ((">=", lo[i]), ("<=", hi[i]))
-        ),
-    )
-    out = lp_solve(p, "max")
-    assert isinstance(out, Optimal)
+    n = len(c)
+    rows = [({i: F(1)}, rel, bound) for i in range(n) for rel, bound in ((">=", lo[i]), ("<=", hi[i]))]
+    # The box sits inside [-5, 5], so the finite lower bound never binds.
+    out = solve_bounded(list(range(n)), dict(enumerate(c)), rows, lower=dict.fromkeys(range(n), F(-5)), sense="max")
+    assert isinstance(out, BoundedOptimal)
     assert out.value == box_oracle(c, lo, hi)
 
 
@@ -297,15 +310,9 @@ def test_box_lp_against_closed_form(data):
 @settings(max_examples=80, deadline=None)
 def test_simplex_lp_against_max_coefficient(c, total):
     n = len(c)
-    p = LpProblem(
-        SparseVec(dict(enumerate(c))),
-        tuple(
-            [LpRow(SparseVec(dict.fromkeys(range(n), F(1))), "=", total)]
-            + [LpRow(SparseVec.basis(i), ">=", F(0)) for i in range(n)]
-        ),
-    )
-    out = lp_solve(p, "max")
-    assert isinstance(out, Optimal)
+    rows = [(dict.fromkeys(range(n), F(1)), "=", total)] + [({i: F(1)}, ">=", F(0)) for i in range(n)]
+    out = solve_bounded(list(range(n)), dict(enumerate(c)), rows, sense="max")
+    assert isinstance(out, BoundedOptimal)
     assert out.value == total * max(c)
 
 
@@ -318,14 +325,14 @@ def test_simplex_lp_against_max_coefficient(c, total):
 )
 @settings(max_examples=60, deadline=None)
 def test_fuzz_outcomes_always_verify(seedrows):
-    # Random rows through the origin-feasible halfspace family; whatever the
-    # outcome, its witness must re-verify exactly (lp_solve asserts internally).
-    body = [LpRow(SparseVec(dict(enumerate(coeffs))), "<=", abs(rhs)) for coeffs, rhs in seedrows]
-    p = LpProblem(SparseVec({0: F(1), 1: F(-1), 2: F(1, 3)}), tuple(body))
-    out = lp_solve(p, "max")
-    ok, why = verify_outcome(p, "max", out)
-    assert ok, why
-    assert not isinstance(out, Infeasible)  # the origin is always feasible
+    # Random rows through the origin-feasible halfspace family over three free
+    # variables; whatever the outcome, it must re-check against the rows.
+    variables = [(sign, i) for i in range(3) for sign in "+-"]
+    objective = split({0: F(1), 1: F(-1), 2: F(1, 3)})
+    rows = [(split(dict(enumerate(coeffs))), "<=", abs(rhs)) for coeffs, rhs in seedrows]
+    out = solve_bounded(variables, objective, rows, sense="max")
+    check_outcome(variables, objective, rows, out)
+    assert not isinstance(out, BoundedInfeasible)  # the origin is always feasible
 
 
 # A pivot that corrupts the right side of its row by +1.  Every later step is
@@ -357,27 +364,85 @@ else:
 """
 
 
-def run_corrupted_pivot(*flags):
+# Every caller that reads an LP outcome or a computed table checks it.  With
+# the LP replaced by one that never finds an optimum, the limit table made
+# non-monotone and the demo's gaps made infinite, each must raise
+# CertificateError, whatever the interpreter mode, rather than fail on a
+# missing attribute or carry on with the bad value.
+NON_OPTIMAL_LP = """
+import contextlib, io, math, sys
+from fractions import Fraction as F
+from weakstar import cli, geometry, hypermetrics, limits
+from weakstar.errors import CertificateError
+from weakstar.faces import exposure_certificate
+from weakstar.geometry import Polyhedron
+from weakstar.hypermetrics import immeasurable_witness, point_body_distance, separating_direction
+from weakstar.numerics import BoundedInfeasible, SparseVec
+
+def expect_rejected(name, check):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            check()
+    except CertificateError:
+        print(name, "rejected")
+    else:
+        print(name, "accepted")
+
+e0, e1 = SparseVec({0: 1}), SparseVec({1: 1})
+segment = Polyhedron([SparseVec.zero(), e0])
+square = Polyhedron([SparseVec.zero(), e0, e1, e0 + e1])
+print("optimize", sys.flags.optimize)
+
+table = iter([F(0), F(1), F(0)])
+limits.membership = lambda *args: True
+limits.hausdorff_full = lambda *args: next(table)
+expect_rejected("monotone_limit", lambda: limits.monotone_limit(limits.SequencePrefix([segment] * 3, 0)))
+
+cli.pseudometric_dH = lambda *args: math.inf
+expect_rejected("demo", lambda: cli.main(["demo", "--spikes", "1", "--directions", "1"]))
+
+geometry.solve_bounded = hypermetrics.solve_bounded = lambda *args, **kwargs: BoundedInfeasible([])
+expect_rejected("exposure_certificate", lambda: exposure_certificate(square, e0))
+expect_rejected("separating_direction", lambda: separating_direction(square, segment))
+expect_rejected("immeasurable_witness", lambda: immeasurable_witness(Polyhedron([e0], [e0]), Polyhedron([e0], [e1])))
+expect_rejected("point_body_distance", lambda: point_body_distance(e1, segment))
+"""
+
+
+def run_script(script, *flags):
     src = str(Path(numerics.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run(
-        [sys.executable, *flags, "-c", CORRUPTED_PIVOT], env=env, capture_output=True, text=True, timeout=60
-    )
+    done = subprocess.run([sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
 
 
 class TestCertification:
     def test_corrupted_pivot_is_rejected_under_optimize(self):
-        lines = run_corrupted_pivot("-O")
+        lines = run_script(CORRUPTED_PIVOT, "-O")
         assert lines[0] == "optimize 1"
         assert lines[1] == "clean 14/5"
         assert lines[2].startswith("rejected ")
 
     def test_corrupted_pivot_is_rejected_without_optimize(self):
-        lines = run_corrupted_pivot()
+        lines = run_script(CORRUPTED_PIVOT)
         assert lines[0] == "optimize 0"
         assert lines[2].startswith("rejected ")
+
+    def test_callers_reject_non_optimal_lps_under_optimize(self):
+        lines = run_script(NON_OPTIMAL_LP, "-O")
+        assert lines[0] == "optimize 1"
+        assert lines[1:] == [
+            f"{name} rejected"
+            for name in (
+                "monotone_limit",
+                "demo",
+                "exposure_certificate",
+                "separating_direction",
+                "immeasurable_witness",
+                "point_body_distance",
+            )
+        ]
 
     def test_certificate_error_is_not_an_input_error(self):
         assert issubclass(CertificateError, WeakstarError)
