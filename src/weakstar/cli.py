@@ -104,13 +104,15 @@ def vector_to_json(v: SparseVec) -> dict:
 
 def load_document(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} nests too deeply to parse") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("kind"), str):
         raise ParseError(f"{path} must be a JSON object with a string 'kind' field")
     return doc

@@ -24,12 +24,14 @@ exact rational arithmetic would make.
 
 Every outcome carries an exactly checkable witness and is re-verified, in
 ``Fraction`` arithmetic against the caller's unmodified rows, before being
-returned.  A failed check raises ``CertificateError`` explicitly, so the
-checks also run under ``python -O``.
+returned; an optimum is proved by an exact dual certificate on those rows.  A
+failed check raises ``CertificateError`` explicitly, so the checks also run
+under ``python -O``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -57,6 +59,8 @@ RationalLike = Union[Fraction, int, str]
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
+_SLACK = {LE: 1, EQ: 0, GE: -1}
+_LITERAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -71,11 +75,13 @@ def as_rational(value: RationalLike) -> Fraction:
 
 
 def rational_from_str(text: str) -> Fraction:
-    """Parse ``"num/den"`` (or a bare integer string) into a Fraction."""
+    """Parse exactly ``-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?``; ``2/4`` need not be reduced."""
+    if not _LITERAL.fullmatch(text):
+        raise ParseError(f"bad rational literal {text!r}")
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational literal {text!r}") from exc
+        return Fraction(text)
+    except ValueError as exc:  # more digits than int() will convert
+        raise ParseError(f"rational literal of {len(text)} characters: {exc}") from exc
 
 
 def rational_to_str(q: Fraction) -> str:
@@ -253,6 +259,11 @@ def solve_bounded(
     return solver.run()
 
 
+def _dot(coeffs: Mapping[int, Fraction], x: Sequence[Fraction]) -> Fraction:
+    """``sum_j coeffs[j] * x[j]`` over a sparse row's stored (nonzero) entries."""
+    return sum((a * x[j] for j, a in coeffs.items()), Fraction(0))
+
+
 def _lowest_terms(nums: list[int], den: int) -> tuple[list[int], int]:
     """Divide the integer row ``nums / den`` by the gcd of all its entries."""
     g = gcd(den, *nums)
@@ -269,8 +280,9 @@ class _Simplex:
     kept in lowest terms.  The reduced-cost row is ``d / dden`` in the same
     form.  All pivoting, flipping and comparison is exact integer arithmetic;
     ``Fraction`` values are formed only when a solution is read off.  The
-    pristine rational data (``caller_rows``, ``M0``, ``b0``) never changes and
-    is what every ``_check_*`` certifies against.
+    tableau is built directly from ``caller_rows``, the caller's rows stored
+    sparse (``{column: Fraction}``, zeros dropped), which never change; every
+    ``_check_*`` certifies against them in the caller's variables.
     """
 
     def __init__(self, variables, objective, rows, lower, upper, sense):
@@ -300,99 +312,76 @@ class _Simplex:
                 raise ValueError(f"objective mentions unknown variable {v!r}")
             self.cost[index[v]] = sign * as_rational(coef)
 
-        self.caller_rows = []
+        self.caller_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
         for coeffs, rel, rhs in rows:
             if rel not in _RELATIONS:
                 raise ValueError(f"bad relation {rel!r}")
-            dense = [Fraction(0)] * self.nstruct
+            sparse = {}
             for v, coef in coeffs.items():
                 if v not in index:
                     raise ValueError(f"row mentions unknown variable {v!r}")
-                dense[index[v]] = as_rational(coef)
-            self.caller_rows.append((dense, rel, as_rational(rhs)))
+                q = as_rational(coef)
+                if q:
+                    sparse[index[v]] = q
+            self.caller_rows.append((sparse, rel, as_rational(rhs)))
 
     # -- setup ---------------------------------------------------------------
 
     def _build_tableau(self):
-        """Shift lowers to zero, add slack and artificial columns, pick a basis."""
+        """Shift lowers to zero, add slack and artificial columns, pick a basis.
+
+        Row i is ``row_sign[i]`` times the shifted caller row and its slack
+        (+1 on <=, -1 on >=), with a nonnegative right side.  Where the signed
+        slack is not +1, an artificial column (in row order) starts basic.
+        """
         m = len(self.caller_rows)
         n = self.nstruct
-        lows = [(j, low) for j, low in enumerate(self.low) if low]
-        shifted_rhs = []
-        for dense, rel, rhs in self.caller_rows:
-            shifted_rhs.append(rhs - sum(dense[j] * low for j, low in lows if dense[j]))
-
-        ncols = n
-        self.slack_col = [None] * m
-        for i, (_, rel, _) in enumerate(self.caller_rows):
-            if rel != EQ:
-                self.slack_col[i] = ncols
-                ncols += 1
-        nslack_end = ncols
-
-        rows: list[list[Fraction]] = []
-        self.b0: list[Fraction] = []
-        self.row_sign: list[int] = []
-        for i, (dense, rel, _) in enumerate(self.caller_rows):
-            row = list(dense) + [Fraction(0)] * (nslack_end - n)
-            if rel == LE:
-                row[self.slack_col[i]] = Fraction(1)
-            elif rel == GE:
-                row[self.slack_col[i]] = Fraction(-1)
-            b = shifted_rhs[i]
-            if b < 0:
-                row = [-x if x else x for x in row]
-                b = -b
-                self.row_sign.append(-1)
-            else:
-                self.row_sign.append(1)
-            rows.append(row)
-            self.b0.append(b)
-
-        # Upper bounds per column (shifted): structural get upp-low, slacks none.
-        self.ub: list[Fraction | None] = []
-        for j in range(n):
-            u = self.upp[j]
-            self.ub.append(None if u is None else u - self.low[j])
-        self.ub.extend([None] * (nslack_end - n))
-
-        # Artificials where the slack cannot serve as the starting basic var.
-        self.basis: list[int] = [-1] * m
+        self.slack_col: list[int | None] = [None] * m
         self.art_col: list[int | None] = [None] * m
-        cols_to_add = []
-        for i in range(m):
-            s = self.slack_col[i]
-            if s is not None and rows[i][s] == 1:
-                self.basis[i] = s
+        self.basis: list[int] = [-1] * m
+        self.row_sign: list[int] = []
+        self.first_art = n + sum(rel != EQ for _, rel, _ in self.caller_rows)
+        next_slack, next_art = n, self.first_art
+        rhs_signed: list[Fraction] = []
+        for i, (coeffs, rel, rhs) in enumerate(self.caller_rows):
+            b = rhs - sum(a * self.low[j] for j, a in coeffs.items() if self.low[j])
+            sign = -1 if b < 0 else 1
+            self.row_sign.append(sign)
+            rhs_signed.append(sign * b)
+            if rel != EQ:
+                self.slack_col[i] = next_slack
+                next_slack += 1
+            if sign * _SLACK[rel] == 1:
+                self.basis[i] = self.slack_col[i]
             else:
-                cols_to_add.append(i)
-        next_col = nslack_end
-        for i in cols_to_add:
-            self.art_col[i] = next_col
-            self.basis[i] = next_col
-            next_col += 1
-        self.first_art = nslack_end
-        self.ncols = next_col
-        for row in rows:
-            row.extend([Fraction(0)] * (self.ncols - nslack_end))
-        for i in cols_to_add:
-            rows[i][self.art_col[i]] = Fraction(1)
-        self.ub.extend([None] * (self.ncols - nslack_end))
-        self.flipped = [False] * self.ncols
-        self.dropped_rows: list[int] = []
-        self.live_rows = list(range(m))
-        # Pristine copy, used by the post-solve certification.
-        self.M0 = rows
+                self.art_col[i] = self.basis[i] = next_art
+                next_art += 1
+        self.ncols = next_art
 
         self.T: list[list[int]] = []
         self.b: list[int] = []
         self.den: list[int] = []
-        for row, b in zip(rows, self.b0):
-            den = lcm(b.denominator, *(x.denominator for x in row))
-            self.T.append([x.numerator * (den // x.denominator) for x in row])
+        for i, (coeffs, rel, _) in enumerate(self.caller_rows):
+            sign, b = self.row_sign[i], rhs_signed[i]
+            den = lcm(b.denominator, *(a.denominator for a in coeffs.values()))
+            row = [0] * self.ncols
+            for j, a in coeffs.items():
+                row[j] = sign * a.numerator * (den // a.denominator)
+            if rel != EQ:
+                row[self.slack_col[i]] = sign * _SLACK[rel] * den
+            if self.art_col[i] is not None:
+                row[self.art_col[i]] = den
+            self.T.append(row)
             self.b.append(b.numerator * (den // b.denominator))
             self.den.append(den)
-            self._reduce(len(self.T) - 1)
+            self._reduce(i)
+
+        # Upper bounds per column (shifted): structural get upp-low, the rest none.
+        self.ub: list[Fraction | None] = [None if u is None else u - low for u, low in zip(self.upp, self.low)]
+        self.ub.extend([None] * (self.ncols - n))
+        self.flipped = [False] * self.ncols
+        self.dropped_rows: list[int] = []
+        self.live_rows = list(range(m))
 
     def _reduce(self, i: int):
         """Bring row i back to lowest terms."""
@@ -575,9 +564,10 @@ class _Simplex:
             x[j] = (self.ub[j] - value) if self.flipped[j] else value
         return x
 
-    def _structural_values(self) -> dict[Hashable, Fraction]:
+    def _structural_values(self) -> list[Fraction]:
+        """The caller's variables, in order, at the current basic solution."""
         x = self._assignment_shifted()
-        return {self.varkeys[j]: x[j] + self.low[j] for j in range(self.nstruct)}
+        return [x[j] + self.low[j] for j in range(self.nstruct)]
 
     # -- driver --------------------------------------------------------------
 
@@ -603,11 +593,10 @@ class _Simplex:
             return self._extract_ray(enter)
 
         values = self._structural_values()
-        raw = sum((self.cost[j] * (values[self.varkeys[j]]) for j in range(self.nstruct)), Fraction(0))
-        value = -raw if self.sense == "max" else raw
         self._check_feasible_point(values)
-        self._check_optimal_bound()
-        return BoundedOptimal(value, values)
+        self._check_optimal_bound(values)
+        raw = sum((c * x for c, x in zip(self.cost, values) if c), Fraction(0))
+        return BoundedOptimal(-raw if self.sense == "max" else raw, dict(zip(self.varkeys, values)))
 
     def _phase2_costs(self):
         col_cost = [Fraction(0)] * self.ncols
@@ -652,41 +641,34 @@ class _Simplex:
         delta[enter] = Fraction(1)
         for i in self.live_rows:
             delta[self.basis[i]] = Fraction(-self.T[i][enter], self.den[i])
-        ray: dict[Hashable, Fraction] = {}
-        for j in range(self.nstruct):
-            component = -delta[j] if self.flipped[j] else delta[j]
-            if component:
-                ray[self.varkeys[j]] = component
+        ray = [-delta[j] if self.flipped[j] else delta[j] for j in range(self.nstruct)]
         self._check_ray(ray)
-        return BoundedUnbounded(ray)
+        return BoundedUnbounded({self.varkeys[j]: r for j, r in enumerate(ray) if r})
 
-    # -- exact self-checks ---------------------------------------------------
+    # -- exact self-checks on the caller's rows ------------------------------
 
-    def _check_feasible_point(self, values: Mapping[Hashable, Fraction]):
-        for j, v in enumerate(self.varkeys):
-            x = values[v]
+    def _check_feasible_point(self, values: Sequence[Fraction]):
+        for j, x in enumerate(values):
             if x < self.low[j] or (self.upp[j] is not None and x > self.upp[j]):
-                raise CertificateError(f"bound violation on {v!r}")
-        for dense, rel, rhs in self.caller_rows:
-            lhs = sum((dense[j] * values[self.varkeys[j]] for j in range(self.nstruct)), Fraction(0))
+                raise CertificateError(f"bound violation on {self.varkeys[j]!r}")
+        for coeffs, rel, rhs in self.caller_rows:
+            lhs = _dot(coeffs, values)
             if (rel == LE and lhs > rhs) or (rel == GE and lhs < rhs) or (rel == EQ and lhs != rhs):
                 raise CertificateError("row violation in optimal witness")
 
-    def _check_ray(self, ray: Mapping[Hashable, Fraction]):
-        if not ray:
+    def _check_ray(self, ray: Sequence[Fraction]):
+        if not any(ray):
             raise CertificateError("zero ray")
-        for j, v in enumerate(self.varkeys):
-            comp = ray.get(v, Fraction(0))
+        for j, r in enumerate(ray):
             # Lower bounds are always finite here, so rays never point down.
-            if comp < 0:
+            if r < 0:
                 raise CertificateError("ray moves a lower-bounded variable down")
-            if comp > 0 and self.upp[j] is not None:
+            if r > 0 and self.upp[j] is not None:
                 raise CertificateError("ray moves an upper-bounded variable up")
-        gain = sum((self.cost[j] * ray.get(self.varkeys[j], Fraction(0)) for j in range(self.nstruct)), Fraction(0))
-        if not gain < 0:
+        if not sum((c * r for c, r in zip(self.cost, ray) if c), Fraction(0)) < 0:
             raise CertificateError("ray does not improve the internal minimization")
-        for dense, rel, rhs in self.caller_rows:
-            drift = sum((dense[j] * ray.get(self.varkeys[j], Fraction(0)) for j in range(self.nstruct)), Fraction(0))
+        for coeffs, rel, _ in self.caller_rows:
+            drift = _dot(coeffs, ray)
             if rel == LE and drift > 0:
                 raise CertificateError("ray escapes a <= row")
             if rel == GE and drift < 0:
@@ -694,47 +676,48 @@ class _Simplex:
             if rel == EQ and drift != 0:
                 raise CertificateError("ray escapes an = row")
 
-    def _check_optimal_bound(self):
-        """Certify optimality by exact complementary slackness.
+    def _check_optimal_bound(self, values: Sequence[Fraction]):
+        """Certify optimality with an exact dual solution of the caller's program.
 
-        Row multipliers are read off the final reduced-cost row, then reduced
-        costs are recomputed from the pristine matrix; every structural and
-        slack column must sit at the bound its reduced-cost sign dictates.
-        Together with feasibility this proves the returned value is optimal.
+        ``y_i`` is minus the final reduced cost of row i's artificial or slack
+        column, times ``row_sign[i]``.  It must have the sign documented on
+        ``BoundedInfeasible`` and be zero unless row i is tight at ``values``;
+        with ``r = cost - sum_i y_i a_i``, ``r_j > 0`` only at a lower bound and
+        ``r_j < 0`` only at a finite upper bound.  That proves weak duality:
+        every feasible x has ``cost . x >= cost . values``.
         """
-        z = self._assignment_shifted()
-        m = len(self.caller_rows)
-        for i in range(m):
-            row = self.M0[i]
-            lhs = sum((row[j] * z[j] for j in range(self.ncols) if row[j] and z[j]), Fraction(0))
-            if lhs != self.b0[i]:
-                raise CertificateError("assignment does not solve the tableau system")
-        y: list[Fraction] = []
-        for i in range(m):
+        reduced = list(self.cost)
+        for i, (coeffs, rel, rhs) in enumerate(self.caller_rows):
             col = self.art_col[i] if self.art_col[i] is not None else self.slack_col[i]
-            y.append(-self._cost(col))
-        for j in range(self.first_art):
-            c_j = self.cost[j] if j < self.nstruct else Fraction(0)
-            reduced = c_j - sum((y[i] * self.M0[i][j] for i in range(m) if self.M0[i][j]), Fraction(0))
-            if reduced > 0 and z[j] != 0:
+            y = -self._cost(col) * self.row_sign[i]
+            if not y:
+                continue
+            if (rel == LE and y > 0) or (rel == GE and y < 0):
+                raise CertificateError(f"dual multiplier sign error on {rel} row")
+            if _dot(coeffs, values) != rhs:
+                raise CertificateError("nonzero dual multiplier on a row that is not tight")
+            for j, a in coeffs.items():
+                reduced[j] -= y * a
+        for j, r in enumerate(reduced):
+            if r > 0 and values[j] != self.low[j]:
                 raise CertificateError("positive reduced cost away from lower bound")
-            if reduced < 0 and (self.ub[j] is None or z[j] != self.ub[j]):
+            if r < 0 and (self.upp[j] is None or values[j] != self.upp[j]):
                 raise CertificateError("negative reduced cost away from upper bound")
 
     def _check_infeasibility(self, mult: Sequence[Fraction]):
-        combined = [Fraction(0)] * self.nstruct
+        combined: dict[int, Fraction] = {}
         total = Fraction(0)
-        for y, (dense, rel, rhs) in zip(mult, self.caller_rows):
+        for y, (coeffs, rel, rhs) in zip(mult, self.caller_rows):
             if rel == LE and y > 0:
                 raise CertificateError("certificate sign error on <= row")
             if rel == GE and y < 0:
                 raise CertificateError("certificate sign error on >= row")
-            for j in range(self.nstruct):
-                combined[j] += y * dense[j]
-            total += y * rhs
+            if y:
+                for j, a in coeffs.items():
+                    combined[j] = combined.get(j, 0) + y * a
+                total += y * rhs
         # Fold variable bounds into the contradiction margin.
-        for j in range(self.nstruct):
-            g = combined[j]
+        for j, g in combined.items():
             if g > 0:
                 if self.upp[j] is None:
                     raise CertificateError("certificate leaks through an unbounded-above variable")

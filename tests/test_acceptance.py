@@ -8,16 +8,24 @@ random instance exactly once.
 
 import random
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
+from math import inf
 
 import pytest
 
 from weakstar.faces import exposure_certificate, fan_directions, inscribed_polygon
 from weakstar.geometry import PointSet, Polyhedron, PolarSpec, closed_convex_hull, membership
 from weakstar.hypermetrics import (
+    ClopenAnd,
+    ClopenAtom,
+    ClopenNot,
+    ClopenOr,
+    CylinderSpec,
     MetricConfig,
+    clopen_eval,
+    cylinder_bounded,
     hausdorff_full,
     pseudometric_dH,
     separating_direction,
@@ -297,3 +305,40 @@ def test_c10_distance_to_limit_tables_descend():
         assert set(limit.vertices) == set(result.vertices)
         assert all(a >= b for a, b in zip(table, table[1:]))
         assert table[0] > 0 and table[-1] == 0
+
+
+def test_c11_clopen_atoms_are_unions_of_finite_distance_classes():
+    # The logic side of the weak*-Hausdorff hypertopology: a cylinder atom is
+    # constant on each class of bodies at finite pseudodistance along its
+    # generators, so it is clopen, and the atoms form a Boolean algebra.
+    with criterion(11, "clopen cylinder algebra"):
+        rng = random.Random(11)
+
+        def vector(min_size):
+            support = rng.sample(range(4), rng.randint(min_size, 2))
+            return SparseVec({i: Fraction(rng.choice([-1, 1]) * rng.randint(1, 3), rng.randint(1, 2)) for i in support})
+
+        def rays():
+            return [vector(1) for _ in range(rng.randint(0, 2))]
+
+        def cylinder():
+            return CylinderSpec([vector(1) for _ in range(rng.randint(0, 2))])
+
+        seen = Counter()
+        for _ in range(400):
+            first = Polyhedron([vector(0) for _ in range(rng.randint(1, 3))], rays())
+            shared = rng.random() < 0.5
+            second = Polyhedron([vector(0) for _ in range(rng.randint(1, 3))], first.rays if shared else rays())
+            atom, other = cylinder(), cylinder()
+            bounded = cylinder_bounded(first, atom)
+            core = Polyhedron(first.vertices)
+            assert bounded == all(pseudometric_dH(first, core, a) < inf for a in atom.generators)
+            seen["bounded" if bounded else "unbounded"] += 1
+            if all(pseudometric_dH(first, second, a) < inf for a in atom.generators):
+                assert cylinder_bounded(second, atom) == bounded
+                seen["same class" if shared else "same class, other rays"] += 1
+            x, y = ClopenAtom(atom), ClopenAtom(other)
+            for body in (first, second):
+                assert clopen_eval(ClopenNot(ClopenAnd(x, y)), body) == clopen_eval(ClopenOr(ClopenNot(x), ClopenNot(y)), body)
+                assert clopen_eval(ClopenNot(ClopenOr(x, y)), body) == clopen_eval(ClopenAnd(ClopenNot(x), ClopenNot(y)), body)
+        assert len(seen) == 4 and min(seen.values()) >= 40, seen

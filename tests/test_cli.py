@@ -1,8 +1,14 @@
 """End-to-end tests of the command-line front end and its file format."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakstar import cli
 from weakstar.errors import ParseError
@@ -405,6 +411,30 @@ class TestExitCodes:
         assert cli.main(["poulsen", files["origin"], "--epsilon", "zero", "--steps", "1"]) == 2
         capsys.readouterr()
 
+    def test_literal_outside_grammar_in_a_set_file(self, tmp_path, capsys):
+        path = write_doc(tmp_path / "big.json", points_doc({0: "1e200000"}))
+        assert cli.main(["hull", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad rational literal '1e200000'" in captured.err
+
+    @pytest.mark.parametrize("epsilon", ["1e-3", "1.5", "1_000", " 3/4 ", "+1"])
+    def test_flag_outside_grammar(self, files, capsys, epsilon):
+        assert cli.main(["poulsen", files["origin"], "--epsilon", epsilon, "--steps", "1"]) == 2
+        assert f"bad rational literal {epsilon!r}" in capsys.readouterr().err
+
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        assert cli.main(["hull", str(path)]) == 2
+        assert "nests too deeply" in capsys.readouterr().err
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff\xfe")
+        assert cli.main(["hull", str(path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
     def test_precondition_messages_name_the_violation(self, files, capsys):
         assert cli.main(["poulsen", files["spike5"], "--epsilon", "1/2", "--steps", "1"]) == 3
         err = capsys.readouterr().err
@@ -423,3 +453,40 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         assert "distance" in capsys.readouterr().out
+
+
+# Small documents, valid and not: at most 4 points on coordinates 0-3, some
+# well formed, some with indices and literals drawn from arbitrary values,
+# beside arbitrary JSON and arbitrary bytes.
+valid_vectors = st.dictionaries(st.integers(0, 3), st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "2/4"]), max_size=4).map(vj)
+any_vectors = st.lists(
+    st.tuples(st.integers(-1, 3) | st.text(max_size=2), st.text(max_size=5) | st.integers(0, 3)).map(list), max_size=4
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def set_documents(vectors):
+    return st.fixed_dictionaries({"kind": st.just("points"), "points": st.lists(vectors, max_size=4)}) | (
+        st.fixed_dictionaries(
+            {"kind": st.just("polyhedron"), "vertices": st.lists(vectors, max_size=4), "rays": st.lists(vectors, max_size=2)}
+        )
+    )
+
+
+documents = set_documents(valid_vectors) | set_documents(any_vectors) | json_values
+set_files = st.binary(max_size=48) | documents.map(lambda doc: json.dumps(doc).encode())
+
+
+@given(content=set_files)
+@settings(max_examples=80, deadline=None)
+def test_fuzzed_set_files_end_in_a_documented_exit_code(content):
+    with tempfile.TemporaryDirectory() as work:
+        path = str(Path(work) / "set.json")
+        Path(path).write_bytes(content)
+        for argv in (["hull", path], ["distance", path, path]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(argv) in (0, 2, 3)

@@ -80,6 +80,19 @@ class TestSparseVec:
             as_rational(False)
 
 
+class TestRationalLiterals:
+    @pytest.mark.parametrize("text, value", [("0", F(0)), ("-0", F(0)), ("7", F(7)), ("-3/4", F(-3, 4)), ("2/4", F(1, 2))])
+    def test_grammar_accepted(self, text, value):
+        assert as_rational(text) == value
+
+    @pytest.mark.parametrize(
+        "text", ["", "1e200000", "1e-3", "1.5", "1_000", " 3/4 ", "3/4\n", "+1", "01", "1/0", "1/-2", "--1", "\u0663", "9" * 5000]
+    )
+    def test_anything_else_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="rational literal"):
+            as_rational(text)
+
+
 class TestPairAndNorms:
     def test_single_coordinate_pairing(self):
         assert pair(SparseVec.basis(3), SparseVec({3: F(5, 2)})) == F(5, 2)
@@ -364,6 +377,33 @@ else:
 """
 
 
+# Phase 2 stopped before its first pivot: the origin is feasible for the
+# max x+y problem above, so only the dual certificate can reject it.
+PREMATURE_OPTIMUM = """
+import sys
+from fractions import Fraction as F
+from weakstar import numerics
+from weakstar.errors import CertificateError
+
+iterate = numerics._Simplex._iterate
+
+def premature(self, allow_artificials):
+    return iterate(self, allow_artificials) if allow_artificials else None
+
+problem = (["x", "y"], {"x": F(1), "y": F(1)},
+           [({"x": F(1), "y": F(2)}, "<=", F(4)), ({"x": F(3), "y": F(1)}, "<=", F(6))])
+print("optimize", sys.flags.optimize)
+print("clean", numerics.solve_bounded(*problem).value)
+numerics._Simplex._iterate = premature
+try:
+    numerics.solve_bounded(*problem)
+except CertificateError as exc:
+    print("rejected", exc)
+else:
+    print("accepted")
+"""
+
+
 # Every caller that reads an LP outcome or a computed table checks it.  With
 # the LP replaced by one that never finds an optimum, the limit table made
 # non-monotone and the demo's gaps made infinite, each must raise
@@ -428,6 +468,10 @@ class TestCertification:
         lines = run_script(CORRUPTED_PIVOT)
         assert lines[0] == "optimize 0"
         assert lines[2].startswith("rejected ")
+
+    def test_premature_optimum_is_rejected_by_the_dual_certificate(self):
+        lines = run_script(PREMATURE_OPTIMUM, "-O")
+        assert lines == ["optimize 1", "clean 14/5", "rejected negative reduced cost away from upper bound"]
 
     def test_callers_reject_non_optimal_lps_under_optimize(self):
         lines = run_script(NON_OPTIMAL_LP, "-O")
