@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -215,31 +216,42 @@ def _emit(args: argparse.Namespace, manifest: RunManifest, name: str, payload: d
 # ---------------------------------------------------------------------------
 
 
+_BASIS_DIRECTION = re.compile(r"e(0|[1-9][0-9]*)")
+_DIRECTION_ENTRY = re.compile(r"(0|[1-9][0-9]*):([^,]+)")
+
+
 def parse_functional(given: str) -> SparseVec:
-    """A direction given as a file path, ``eN`` shorthand, or ``index:value`` pairs."""
-    if Path(given).is_file():
+    """A direction given as a file path, ``eN`` shorthand, or ``index:value`` pairs.
+
+    Indices are naturals in plain ASCII digits without leading zeros, values
+    are rational literals, and no whitespace is allowed anywhere.
+    """
+    try:
+        is_file = Path(given).is_file()
+    except OSError:  # a name the file system cannot hold, such as one too long
+        is_file = False
+    if is_file:
         return load_vector(given)
-    text = given.strip()
-    if len(text) > 1 and text[0] == "e" and text[1:].isdigit():
-        return SparseVec.basis(int(text[1:]))
-    if not text:
-        return SparseVec.zero()
+    basis = _BASIS_DIRECTION.fullmatch(given)
+    if basis:
+        return SparseVec.basis(_coordinate_index(basis[1]))
     entries: dict[int, Fraction] = {}
-    for chunk in text.split(","):
-        index_text, _, value_text = chunk.partition(":")
-        try:
-            index = int(index_text)
-        except ValueError as exc:
-            raise ParseError(f"bad coordinate index in direction {given!r}") from exc
-        if not value_text:
-            raise ParseError(f"direction entry {chunk!r} needs an 'index:value' form")
+    for chunk in given.split(","):
+        entry = _DIRECTION_ENTRY.fullmatch(chunk)
+        if entry is None:
+            raise ParseError(f"direction entry {chunk!r} needs an 'index:value' form with a natural index")
+        index = _coordinate_index(entry[1])
         if index in entries:
             raise ParseError(f"duplicate coordinate index {index} in direction {given!r}")
-        entries[index] = as_rational(value_text)
+        entries[index] = as_rational(entry[2])
+    return SparseVec(entries)
+
+
+def _coordinate_index(digits: str) -> int:
     try:
-        return SparseVec(entries)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+        return int(digits)
+    except ValueError as exc:  # more digits than int() will convert
+        raise ParseError(f"coordinate index of {len(digits)} digits") from exc
 
 
 def format_vec(v: SparseVec) -> str:

@@ -13,6 +13,8 @@ Three layers of structure, all exact:
 * ``hausdorff_full`` — the Hausdorff metric induced by ``metric_d`` on bounded
   polytopes inside the normalizing body, computed by per-vertex distance LPs
   (the farthest point of a polytope from a convex body is a vertex).
+  ``distances_to_body`` builds the distance LP of one body once for many
+  points; the LPs differ only in their objective, so they share one phase 1.
 
 The module also produces separation witnesses (a functional telling two
 distinct hulls apart), infinite-distance witnesses (a functional seeing a
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import BadParameter, CertificateError, NotInNormalizingSet, UnboundedInput
 from .geometry import (
@@ -41,7 +43,7 @@ from .geometry import (
     recession_rays,
     scalar_image,
 )
-from .numerics import BoundedOptimal, SparseVec, pair, solve_bounded
+from .numerics import BoundedOptimal, SparseVec, pair, shared_phase1, solve_bounded
 
 __all__ = [
     "MetricConfig",
@@ -234,35 +236,41 @@ def metric_d(sigma: SparseVec, tau: SparseVec, cfg: MetricConfig = MetricConfig(
 
 
 def point_body_distance(sigma: SparseVec, body: Polyhedron, cfg: MetricConfig = MetricConfig()) -> Fraction:
-    """min over the polytope of metric_d to sigma, via the dual-ball LP.
+    """min over the polytope of metric_d to sigma; the one-point ``distances_to_body``."""
+    return distances_to_body([sigma], body, cfg)[0]
+
+
+def distances_to_body(points: Sequence[SparseVec], body: Polyhedron, cfg: MetricConfig = MetricConfig()) -> list[Fraction]:
+    """``point_body_distance`` of each point, from one dual-ball LP set-up per body.
 
     The metric is a weighted l1 norm of image differences, so the distance is
     the maximum of ``y . image(sigma) - support(y)`` over the dual box
     ``|y_n| <= weight_n``, a small LP with one row per vertex of the body.
+    Only the objective depends on the point: the LPs share one phase 1, and a
+    term index of another point adds a column with no row entries and cost 0.
     """
     if body.rays:
         raise UnboundedInput("distance target must be a polytope")
-    if sigma in body.vertices:
-        return Fraction(0)
-    ns = cfg.term_indices(sigma, *body.vertices)
+    ns = cfg.term_indices(*points, *body.vertices)
     weights = {n: cfg.weight(n) for n in ns}
     functionals = {n: cfg.functional(n) for n in ns}
+
+    def image(v: SparseVec) -> dict:  # y . image(v) - zp + zm, with z = zp - zm
+        return {**{("y", n): pair(functionals[n], v) for n in ns}, ("zp",): Fraction(-1), ("zm",): Fraction(1)}
+
     variables = [("y", n) for n in ns] + [("zp",), ("zm",)]
     lower = {("y", n): -weights[n] for n in ns}
     upper = {("y", n): weights[n] for n in ns}
-    rows = []
-    for q in body.vertices:
-        coeffs = {("y", n): pair(functionals[n], q) for n in ns}
-        coeffs[("zp",)] = Fraction(-1)
-        coeffs[("zm",)] = Fraction(1)
-        rows.append((coeffs, "<=", Fraction(0)))
-    objective = {("y", n): pair(functionals[n], sigma) for n in ns}
-    objective[("zp",)] = Fraction(-1)
-    objective[("zm",)] = Fraction(1)
-    out = solve_bounded(variables, objective, rows, lower=lower, upper=upper, sense="max")
-    if not isinstance(out, BoundedOptimal):
-        raise CertificateError(f"distance LP gave {type(out).__name__}, not an optimum")
-    return out.value
+    rows = [(image(q), "<=", Fraction(0)) for q in body.vertices]
+    distances = [Fraction(0)] * len(points)
+    with shared_phase1():
+        for i, sigma in enumerate(points):
+            if sigma not in body.vertices:
+                out = solve_bounded(variables, image(sigma), rows, lower=lower, upper=upper, sense="max")
+                if not isinstance(out, BoundedOptimal):
+                    raise CertificateError(f"distance LP gave {type(out).__name__}, not an optimum")
+                distances[i] = out.value
+    return distances
 
 
 def hausdorff_full(first: Polyhedron, second: Polyhedron, cfg: MetricConfig = MetricConfig()) -> Fraction:
@@ -273,12 +281,8 @@ def hausdorff_full(first: Polyhedron, second: Polyhedron, cfg: MetricConfig = Me
         for v in body.vertices:
             if not cfg.contains(v):
                 raise NotInNormalizingSet("vertex outside the normalizing set")
-    best = Fraction(0)
-    for v in first.vertices:
-        best = max(best, point_body_distance(v, second, cfg))
-    for w in second.vertices:
-        best = max(best, point_body_distance(w, first, cfg))
-    return best
+    there = distances_to_body(first.vertices, second, cfg)
+    return max([Fraction(0), *there, *distances_to_body(second.vertices, first, cfg)])
 
 
 # ---------------------------------------------------------------------------

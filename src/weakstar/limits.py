@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .errors import BadParameter, CertificateError, NotInNormalizingSet, NotNested
 from .geometry import PointSet, Polyhedron, closed_convex_hull, membership
-from .hypermetrics import MetricConfig, hausdorff_full, metric_d, point_body_distance
+from .hypermetrics import MetricConfig, distances_to_body, hausdorff_full, metric_d
 from .numerics import RationalLike, SparseVec, as_rational, l1_norm
 
 __all__ = [
@@ -113,8 +113,8 @@ def li_ls_diagnostic(
             raise NotInNormalizingSet("candidates must lie inside the normalizing set")
 
     verdicts = []
-    for sigma in candidates.points:
-        distances = tuple(point_body_distance(sigma, body, cfg) for body in seq.sets)
+    by_body = [distances_to_body(candidates.points, body, cfg) for body in seq.sets]
+    for sigma, distances in zip(candidates.points, zip(*by_body)):
         tail = distances[seq.stabilization_index :]
         in_li = all(d <= seq.tolerance for d in tail)
         close = sum(1 for d in distances if d <= seq.tolerance)

@@ -22,20 +22,29 @@ by Azulay and Pique).  Ratio tests compare integer pairs by
 cross-multiplication, so every decision, and hence every pivot, is the one
 exact rational arithmetic would make.
 
+Phase 1 never reads the objective.  Inside a ``shared_phase1()`` block,
+``solve_bounded`` keeps the tableau of the last feasible program as phase 1
+left it, and a later call on an equal program (variables, bounds and rows)
+starts phase 2 from a copy of it: the same pivots and witness as a cold
+solve, one phase 1 for a batch of LPs that differ only in their objective.
+
 Every outcome carries an exactly checkable witness and is re-verified, in
 ``Fraction`` arithmetic against the caller's unmodified rows, before being
 returned; an optimum is proved by an exact dual certificate on those rows.  A
 failed check raises ``CertificateError`` explicitly, so the checks also run
-under ``python -O``.
+under ``python -O``.  A rational literal has at most ``LITERAL_DIGITS_MAX``
+digits in its numerator and in its denominator.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Hashable, Iterable, Mapping, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import CertificateError, ParseError
 
@@ -60,7 +69,9 @@ RationalLike = Union[Fraction, int, str]
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
 _SLACK = {LE: 1, EQ: 0, GE: -1}
-_LITERAL = re.compile(r"-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?")
+_LITERAL = re.compile(r"-?(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?")
+# Most digits a literal may have in its numerator or in its denominator.
+LITERAL_DIGITS_MAX = 1000
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -75,13 +86,16 @@ def as_rational(value: RationalLike) -> Fraction:
 
 
 def rational_from_str(text: str) -> Fraction:
-    """Parse exactly ``-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?``; ``2/4`` need not be reduced."""
-    if not _LITERAL.fullmatch(text):
+    """Parse exactly ``-?(0|[1-9][0-9]*)(/[1-9][0-9]*)?``; ``2/4`` need not be reduced.
+
+    A numerator or denominator longer than ``LITERAL_DIGITS_MAX`` digits is refused.
+    """
+    match = _LITERAL.fullmatch(text)
+    if not match:
         raise ParseError(f"bad rational literal {text!r}")
-    try:
-        return Fraction(text)
-    except ValueError as exc:  # more digits than int() will convert
-        raise ParseError(f"rational literal of {len(text)} characters: {exc}") from exc
+    if max(len(part) for part in match.groups("")) > LITERAL_DIGITS_MAX:
+        raise ParseError(f"rational literal of {len(text)} characters exceeds {LITERAL_DIGITS_MAX} digits in one part")
+    return Fraction(text)
 
 
 def rational_to_str(q: Fraction) -> str:
@@ -256,7 +270,28 @@ def solve_bounded(
     re-checked exactly before returning.
     """
     solver = _Simplex(variables, objective, rows, lower or {}, upper or {}, sense)
-    return solver.run()
+    return solver.run(_PHASE1_SLOT.get())
+
+
+# ``[program, post-eviction state]`` of the last feasible phase 1 in a block.
+_PHASE1_SLOT: ContextVar[list | None] = ContextVar("weakstar_phase1_slot", default=None)
+# What phase 2 reads of the tableau, besides the caller's program, after phase 1.
+_PHASE1_STATE = ("slack_col", "art_col", "row_sign", "first_art", "ncols", "ub",
+                 "T", "b", "den", "basis", "flipped", "live_rows", "dropped_rows")
+
+
+@contextmanager
+def shared_phase1() -> Iterator[None]:
+    """Inside the block, LPs with equal variables, bounds and rows run phase 1 once.
+
+    Phase 1 never reads the objective, so restoring its end state makes exactly
+    the pivots of a cold solve.  A ``ContextVar`` scopes the slot to the block.
+    """
+    token = _PHASE1_SLOT.set([])
+    try:
+        yield
+    finally:
+        _PHASE1_SLOT.reset(token)
 
 
 def _dot(coeffs: Mapping[int, Fraction], x: Sequence[Fraction]) -> Fraction:
@@ -571,7 +606,25 @@ class _Simplex:
 
     # -- driver --------------------------------------------------------------
 
-    def run(self) -> BoundedOutcome:
+    def run(self, slot: list | None = None) -> BoundedOutcome:
+        """Solve; inside ``shared_phase1``, ``slot`` gives or keeps phase 1's end state."""
+        program = (self.varkeys, self.low, self.upp, self.caller_rows)
+        if slot and slot[0] == program:
+            self._restore_phase1(slot[1])
+        elif (infeasible := self._phase1()) is not None:
+            return infeasible
+        elif slot is not None:
+            slot[:] = [program, {k: getattr(self, k) for k in _PHASE1_STATE}]
+            self._restore_phase1(slot[1])
+        return self._phase2()
+
+    def _restore_phase1(self, state: dict):
+        """Take a copy of ``state`` that phase 2 can change without touching the original."""
+        copied = {k: v[:] if isinstance(v, list) else v for k, v in state.items()}
+        vars(self).update(copied, T=[row[:] for row in state["T"]])
+
+    def _phase1(self) -> BoundedInfeasible | None:
+        """Build the tableau, drive the artificials to zero and evict them."""
         self._build_tableau()
         phase1_cost = [Fraction(0)] * self.ncols
         for j in range(self.first_art, self.ncols):
@@ -585,8 +638,10 @@ class _Simplex:
         infeas = sum((x[j] for j in range(self.first_art, self.ncols)), Fraction(0))
         if infeas > 0:
             return self._extract_infeasible()
-
         self._evict_artificials()
+        return None
+
+    def _phase2(self) -> BoundedOutcome:
         self._phase2_costs()
         enter = self._iterate(allow_artificials=False)
         if enter is not None:

@@ -123,7 +123,11 @@ class TestParseFunctional:
         path = write_doc(tmp_path / "f.json", {"kind": "vector", "entries": vj({2: "7"})})
         assert cli.parse_functional(path) == SparseVec.basis(2, 7)
 
-    @pytest.mark.parametrize("spec", ["0:1,0:2", "x:1", "3", "1:"])
+    @pytest.mark.parametrize(
+        "spec",
+        ["0:1,0:2", "x:1", "3", "1:", "e\u0663", "1_0:1", "+1:1", " 2 :1/2", "e01", "01:1"]
+        + [pytest.param("e" + "9" * 5000, id="long-index"), pytest.param("x" * 300, id="long-name")],
+    )
     def test_bad_directions_rejected(self, spec):
         with pytest.raises(ParseError):
             cli.parse_functional(spec)
@@ -417,6 +421,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "bad rational literal '1e200000'" in captured.err
+
+    def test_oversized_literal_is_a_parse_error(self, tmp_path, capsys):
+        # Both literals fit the grammar; their difference would have a
+        # denominator of 8,000 digits, more than int() will print.
+        first = write_doc(tmp_path / "a.json", points_doc({0: "1/" + "7" * 4000}))
+        second = write_doc(tmp_path / "b.json", points_doc({0: "1/1" + "0" * 3999 + "1"}))
+        assert cli.main(["distance", first, second, "--direction", "e0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds 1000 digits" in captured.err
 
     @pytest.mark.parametrize("epsilon", ["1e-3", "1.5", "1_000", " 3/4 ", "+1"])
     def test_flag_outside_grammar(self, files, capsys, epsilon):

@@ -25,6 +25,7 @@ from weakstar.hypermetrics import (
     MetricConfig,
     clopen_eval,
     cylinder_bounded,
+    distances_to_body,
     hausdorff_full,
     immeasurable_witness,
     metric_d,
@@ -51,9 +52,8 @@ def ball_point(coords):
     return v if n <= 1 else v.scale(F(1) / n)
 
 
-coords3 = st.lists(
-    st.fractions(min_value=-2, max_value=2, max_denominator=6), min_size=1, max_size=3
-)
+coordinate = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+coords3 = st.lists(coordinate, min_size=1, max_size=3)
 ball_points = st.builds(ball_point, coords3)
 ball_point_sets = st.lists(ball_points, min_size=1, max_size=4).map(PointSet)
 functionals = st.builds(
@@ -230,6 +230,18 @@ class TestHausdorffFull:
         sigma = dual(F(1, 2), F(1, 4))
         target = dual(0, F(-1, 2))
         assert point_body_distance(sigma, Polyhedron([target])) == metric_d(sigma, target)
+
+    @given(
+        points=st.lists(st.builds(ball_point, st.lists(coordinate, min_size=1, max_size=5)), max_size=4),
+        b=ball_point_sets,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_batched_distances_equal_one_point_distances(self, points, b):
+        # The batch adds columns for every point's support and shares phase 1;
+        # neither may change a value.
+        body = closed_convex_hull(b)
+        points += list(body.vertices[:1])
+        assert distances_to_body(points, body, MetricConfig()) == [point_body_distance(p, body) for p in points]
 
     def test_rejects_rays(self):
         with pytest.raises(UnboundedInput):

@@ -81,12 +81,18 @@ class TestSparseVec:
 
 
 class TestRationalLiterals:
-    @pytest.mark.parametrize("text, value", [("0", F(0)), ("-0", F(0)), ("7", F(7)), ("-3/4", F(-3, 4)), ("2/4", F(1, 2))])
+    @pytest.mark.parametrize(
+        "text, value",
+        [("0", F(0)), ("-0", F(0)), ("7", F(7)), ("-3/4", F(-3, 4)), ("2/4", F(1, 2))]
+        + [pytest.param("-" + "9" * 1000 + "/" + "9" * 1000, F(-1), id="1000-digit-parts")],
+    )
     def test_grammar_accepted(self, text, value):
         assert as_rational(text) == value
 
     @pytest.mark.parametrize(
-        "text", ["", "1e200000", "1e-3", "1.5", "1_000", " 3/4 ", "3/4\n", "+1", "01", "1/0", "1/-2", "--1", "\u0663", "9" * 5000]
+        "text",
+        ["", "1e200000", "1e-3", "1.5", "1_000", " 3/4 ", "3/4\n", "+1", "01", "1/0", "1/-2", "--1", "\u0663", "9" * 5000]
+        + [pytest.param("1/" + "9" * 1001, id="1001-digit-denominator")],
     )
     def test_anything_else_is_a_parse_error(self, text):
         with pytest.raises(ParseError, match="rational literal"):
@@ -404,6 +410,37 @@ else:
 """
 
 
+# A phase-1 end state restored inside ``shared_phase1`` with one right side
+# off by +1: the tableau then solves x + y = 4, so the check of the witness
+# against the caller's own row x + y = 3 must reject it.
+PERTURBED_RESTORE = """
+import sys
+from fractions import Fraction as F
+from weakstar import numerics
+from weakstar.errors import CertificateError
+
+restore = numerics._Simplex._restore_phase1
+
+def perturbed(self, state):
+    restore(self, state)
+    self.b[0] += self.den[0]
+
+program = (["x", "y"], [({"x": F(1), "y": F(1)}, "=", F(3))])
+upper = {"x": F(2), "y": F(2)}
+print("optimize", sys.flags.optimize)
+with numerics.shared_phase1():
+    print("cold", numerics.solve_bounded(program[0], {"x": F(1)}, program[1], upper=upper).value)
+    print("restored", numerics.solve_bounded(program[0], {"y": F(1)}, program[1], upper=upper).value)
+    numerics._Simplex._restore_phase1 = perturbed
+    try:
+        numerics.solve_bounded(program[0], {"x": F(1), "y": F(2)}, program[1], upper=upper)
+    except CertificateError as exc:
+        print("rejected", exc)
+    else:
+        print("accepted")
+"""
+
+
 # Every caller that reads an LP outcome or a computed table checks it.  With
 # the LP replaced by one that never finds an optimum, the limit table made
 # non-monotone and the demo's gaps made infinite, each must raise
@@ -472,6 +509,11 @@ class TestCertification:
     def test_premature_optimum_is_rejected_by_the_dual_certificate(self):
         lines = run_script(PREMATURE_OPTIMUM, "-O")
         assert lines == ["optimize 1", "clean 14/5", "rejected negative reduced cost away from upper bound"]
+
+    def test_perturbed_restored_phase1_is_rejected_under_optimize(self):
+        lines = run_script(PERTURBED_RESTORE, "-O")
+        assert lines[:3] == ["optimize 1", "cold 2", "restored 2"]
+        assert lines[3].startswith("rejected ")
 
     def test_callers_reject_non_optimal_lps_under_optimize(self):
         lines = run_script(NON_OPTIMAL_LP, "-O")
