@@ -68,6 +68,17 @@ def vec_to_json(v: SparseVec) -> list[list[object]]:
     return [[index, rational_to_str(value)] for index, value in v.items()]
 
 
+# Largest coordinate index an input may name.  The metric weights the n-th
+# coordinate by 2^-(n+1), so a weight stays within about 300 digits.
+INDEX_MAX = 1000
+
+
+def _bounded_index(index: int) -> int:
+    if index > INDEX_MAX:
+        raise ParseError(f"coordinate index exceeds the limit of {INDEX_MAX}")
+    return index
+
+
 def vec_from_json(obj: object) -> SparseVec:
     if not isinstance(obj, list):
         raise ParseError(f"a sparse vector must be a list of [index, rational] pairs, got {obj!r}")
@@ -80,6 +91,7 @@ def vec_from_json(obj: object) -> SparseVec:
             raise ParseError(f"coordinate index must be an integer, got {index!r}")
         if not isinstance(literal, str):
             raise ParseError(f"coordinate value must be a rational string, got {literal!r}")
+        _bounded_index(index)
         if index in entries:
             raise ParseError(f"duplicate coordinate index {index}")
         entries[index] = as_rational(literal)
@@ -112,6 +124,8 @@ def load_document(path: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a number with more digits than int() converts
+        raise ParseError(f"{path} holds a number too long to read") from exc
     except RecursionError as exc:
         raise ParseError(f"{path} nests too deeply to parse") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("kind"), str):
@@ -248,10 +262,9 @@ def parse_functional(given: str) -> SparseVec:
 
 
 def _coordinate_index(digits: str) -> int:
-    try:
-        return int(digits)
-    except ValueError as exc:  # more digits than int() will convert
-        raise ParseError(f"coordinate index of {len(digits)} digits") from exc
+    if len(digits) > len(str(INDEX_MAX)):  # also keeps int() within its digit limit
+        raise ParseError(f"coordinate index exceeds the limit of {INDEX_MAX}")
+    return _bounded_index(int(digits))
 
 
 def format_vec(v: SparseVec) -> str:

@@ -11,10 +11,14 @@ Three layers of structure, all exact:
   summing weighted image differences over an enumeration of functionals.  With
   the default coordinate enumeration the sum is finite and exact.
 * ``hausdorff_full`` — the Hausdorff metric induced by ``metric_d`` on bounded
-  polytopes inside the normalizing body, computed by per-vertex distance LPs
-  (the farthest point of a polytope from a convex body is a vertex).
-  ``distances_to_body`` builds the distance LP of one body once for many
-  points; the LPs differ only in their objective, so they share one phase 1.
+  polytopes inside the normalizing body, the largest per-vertex distance LP
+  value (the farthest point of a polytope from a convex body is a vertex).
+  A vertex's ``metric_d`` to the nearest vertex of the other polytope bounds
+  its distance in closed form, and a vertex whose bound cannot raise the
+  maximum solves no LP.  ``distances_to_body`` builds the distance LP of one
+  body once for many points; the LPs differ only in their objective, so they
+  share one phase 1, and a term no vertex of the body sees is added in
+  closed form instead of as a column.
 
 The module also produces separation witnesses (a functional telling two
 distinct hulls apart), infinite-distance witnesses (a functional seeing a
@@ -26,8 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
-from typing import Optional, Sequence, Union
+from math import inf, lcm
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import BadParameter, CertificateError, NotInNormalizingSet, UnboundedInput
 from .geometry import (
@@ -240,49 +244,95 @@ def point_body_distance(sigma: SparseVec, body: Polyhedron, cfg: MetricConfig = 
     return distances_to_body([sigma], body, cfg)[0]
 
 
-def distances_to_body(points: Sequence[SparseVec], body: Polyhedron, cfg: MetricConfig = MetricConfig()) -> list[Fraction]:
-    """``point_body_distance`` of each point, from one dual-ball LP set-up per body.
+def _images(cfg: MetricConfig, ns: Sequence[int], vectors: Sequence[SparseVec]) -> dict[SparseVec, list[Fraction]]:
+    """Each vector's pairings with the functionals indexed by ``ns``, in that order."""
+    functionals = [cfg.functional(n) for n in ns]
+    return {v: [pair(f, v) for f in functionals] for v in vectors}
+
+
+def _distance_lp(body_images: Sequence[list[Fraction]], weights: Sequence[Fraction]) -> Callable[[list[Fraction]], Fraction]:
+    """The distance to one body, given the images of its vertices, as a function of a point's image.
 
     The metric is a weighted l1 norm of image differences, so the distance is
-    the maximum of ``y . image(sigma) - support(y)`` over the dual box
-    ``|y_n| <= weight_n``, a small LP with one row per vertex of the body.
-    Only the objective depends on the point: the LPs share one phase 1, and a
-    term index of another point adds a column with no row entries and cost 0.
+    the maximum of ``y . image(sigma) - z`` over the dual box
+    ``|y_n| <= weight_n`` with ``z >= y . image(q)`` for every vertex ``q``: a
+    small LP with one row per vertex.  Only the objective depends on the
+    point, so the LPs against one body share one phase 1 inside a
+    ``shared_phase1()`` block.  A coordinate ``y_n`` with no entry in any row
+    gets no column: its term is ``weight_n * |image(sigma)_n|`` in closed form.
     """
+    cols = [k for k in range(len(weights)) if any(img[k] for img in body_images)]
+    loose = [k for k in range(len(weights)) if k not in cols]
+
+    def linear(img: list[Fraction]) -> dict:  # y . img - zp + zm, with z = zp - zm
+        return {**{("y", k): img[k] for k in cols}, ("zp",): Fraction(-1), ("zm",): Fraction(1)}
+
+    variables = [("y", k) for k in cols] + [("zp",), ("zm",)]
+    lower = {("y", k): -weights[k] for k in cols}
+    upper = {("y", k): weights[k] for k in cols}
+    rows = [(linear(img), "<=", Fraction(0)) for img in body_images]
+
+    def distance(image: list[Fraction]) -> Fraction:
+        out = solve_bounded(variables, linear(image), rows, lower=lower, upper=upper, sense="max")
+        if not isinstance(out, BoundedOptimal):
+            raise CertificateError(f"distance LP gave {type(out).__name__}, not an optimum")
+        return out.value + sum((weights[k] * abs(image[k]) for k in loose), Fraction(0))
+
+    return distance
+
+
+def distances_to_body(points: Sequence[SparseVec], body: Polyhedron, cfg: MetricConfig = MetricConfig()) -> list[Fraction]:
+    """``point_body_distance`` of each point, from one distance-LP set-up and one phase 1 per body."""
     if body.rays:
         raise UnboundedInput("distance target must be a polytope")
     ns = cfg.term_indices(*points, *body.vertices)
-    weights = {n: cfg.weight(n) for n in ns}
-    functionals = {n: cfg.functional(n) for n in ns}
-
-    def image(v: SparseVec) -> dict:  # y . image(v) - zp + zm, with z = zp - zm
-        return {**{("y", n): pair(functionals[n], v) for n in ns}, ("zp",): Fraction(-1), ("zm",): Fraction(1)}
-
-    variables = [("y", n) for n in ns] + [("zp",), ("zm",)]
-    lower = {("y", n): -weights[n] for n in ns}
-    upper = {("y", n): weights[n] for n in ns}
-    rows = [(image(q), "<=", Fraction(0)) for q in body.vertices]
-    distances = [Fraction(0)] * len(points)
+    images = _images(cfg, ns, [*points, *body.vertices])
+    distance = _distance_lp([images[q] for q in body.vertices], [cfg.weight(n) for n in ns])
     with shared_phase1():
-        for i, sigma in enumerate(points):
-            if sigma not in body.vertices:
-                out = solve_bounded(variables, image(sigma), rows, lower=lower, upper=upper, sense="max")
-                if not isinstance(out, BoundedOptimal):
-                    raise CertificateError(f"distance LP gave {type(out).__name__}, not an optimum")
-                distances[i] = out.value
-    return distances
+        return [Fraction(0) if sigma in body.vertices else distance(images[sigma]) for sigma in points]
 
 
 def hausdorff_full(first: Polyhedron, second: Polyhedron, cfg: MetricConfig = MetricConfig()) -> Fraction:
-    """The Hausdorff metric induced by metric_d on polytopes in the normalizing set."""
+    """The Hausdorff metric induced by metric_d on polytopes in the normalizing set.
+
+    It is the largest distance from a vertex of either polytope to the other
+    one.  That distance is at most ``u(sigma)``, the least ``metric_d`` from
+    ``sigma`` to a vertex of the other polytope, which witnesses the bound.
+    Each side's vertices are taken in descending ``u``, input order on ties,
+    and a side ends at the first vertex with ``u(sigma)`` at most the running
+    maximum: every vertex left is within that maximum of its witness, and
+    only the vertices before it solve a distance LP.  The bounds are exact
+    integers: images are scaled to one common denominator and weights to
+    another, and a bound is compared with the maximum by cross-multiplication.
+    """
     if first.rays or second.rays:
         raise UnboundedInput("the full Hausdorff metric needs bounded inputs")
     for body in (first, second):
         for v in body.vertices:
             if not cfg.contains(v):
                 raise NotInNormalizingSet("vertex outside the normalizing set")
-    there = distances_to_body(first.vertices, second, cfg)
-    return max([Fraction(0), *there, *distances_to_body(second.vertices, first, cfg)])
+    ns = cfg.term_indices(*first.vertices, *second.vertices)
+    weights = [cfg.weight(n) for n in ns]
+    images = _images(cfg, ns, [*first.vertices, *second.vertices])
+    image_den = lcm(*(x.denominator for img in images.values() for x in img))
+    weight_den = lcm(*(w.denominator for w in weights))
+    scaled = {v: [x.numerator * (image_den // x.denominator) for x in img] for v, img in images.items()}
+    scaled_weights = [w.numerator * (weight_den // w.denominator) for w in weights]
+    scale = image_den * weight_den  # u(sigma) == bound[sigma] / scale
+    best = Fraction(0)
+    for points, body in ((first.vertices, second), (second.vertices, first)):
+        targets = [scaled[q] for q in body.vertices]
+        bound = {
+            sigma: min(sum(w * abs(a - b) for w, a, b in zip(scaled_weights, scaled[sigma], t)) for t in targets)
+            for sigma in points
+        }
+        distance = _distance_lp([images[q] for q in body.vertices], weights)
+        with shared_phase1():
+            for sigma in sorted(points, key=bound.__getitem__, reverse=True):
+                if bound[sigma] * best.denominator <= best.numerator * scale:
+                    break
+                best = max(best, distance(images[sigma]))
+    return best
 
 
 # ---------------------------------------------------------------------------

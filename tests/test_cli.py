@@ -126,7 +126,8 @@ class TestParseFunctional:
     @pytest.mark.parametrize(
         "spec",
         ["0:1,0:2", "x:1", "3", "1:", "e\u0663", "1_0:1", "+1:1", " 2 :1/2", "e01", "01:1"]
-        + [pytest.param("e" + "9" * 5000, id="long-index"), pytest.param("x" * 300, id="long-name")],
+        + [pytest.param("e" + "9" * 5000, id="long-index"), pytest.param("x" * 300, id="long-name")]
+        + [pytest.param(f"e{cli.INDEX_MAX + 1}", id="index-past-limit"), f"{cli.INDEX_MAX + 1}:1"],
     )
     def test_bad_directions_rejected(self, spec):
         with pytest.raises(ParseError):
@@ -437,6 +438,29 @@ class TestExitCodes:
         assert cli.main(["poulsen", files["origin"], "--epsilon", epsilon, "--steps", "1"]) == 2
         assert f"bad rational literal {epsilon!r}" in capsys.readouterr().err
 
+    def test_index_too_long_to_convert_is_a_parse_error(self, tmp_path, capsys):
+        # json.loads itself refuses an integer of more than 4,300 digits.
+        path = tmp_path / "long.json"
+        path.write_text('{"kind": "points", "points": [[[' + "1" * 5001 + ', "1"]]]}')
+        assert cli.main(["hull", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "number too long to read" in captured.err
+
+    @pytest.mark.parametrize("index", [cli.INDEX_MAX + 1, 10**4000])
+    def test_index_past_the_limit_is_a_parse_error(self, tmp_path, capsys, index):
+        path = write_doc(tmp_path / "far.json", {"kind": "points", "points": [[[index, "1"]]]})
+        assert cli.main(["hull", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"coordinate index exceeds the limit of {cli.INDEX_MAX}" in captured.err
+
+    def test_index_at_the_limit_is_read(self, tmp_path, capsys):
+        path = write_doc(tmp_path / "edge.json", points_doc({cli.INDEX_MAX: "1/2"}))
+        assert cli.main(["distance", path, path]) == 0
+        assert cli.main(["distance", path, path, "--direction", f"e{cli.INDEX_MAX}"]) == 0
+        assert capsys.readouterr().out.split() == ["0/1", "0/1"]
+
     def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000)
@@ -470,11 +494,14 @@ class TestExitCodes:
 
 
 # Small documents, valid and not: at most 4 points on coordinates 0-3, some
-# well formed, some with indices and literals drawn from arbitrary values,
-# beside arbitrary JSON and arbitrary bytes.
+# well formed, some with indices and literals drawn from arbitrary values or
+# at and past the index limit, beside arbitrary JSON and arbitrary bytes, and
+# single-entry files whose index has up to 6,000 digits.
 valid_vectors = st.dictionaries(st.integers(0, 3), st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "2/4"]), max_size=4).map(vj)
+huge_indices = st.sampled_from([cli.INDEX_MAX, cli.INDEX_MAX + 1]) | st.integers(cli.INDEX_MAX, 10**4000)
 any_vectors = st.lists(
-    st.tuples(st.integers(-1, 3) | st.text(max_size=2), st.text(max_size=5) | st.integers(0, 3)).map(list), max_size=4
+    st.tuples(st.integers(-1, 3) | huge_indices | st.text(max_size=2), st.text(max_size=5) | st.integers(0, 3)).map(list),
+    max_size=4,
 )
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=4),
@@ -492,7 +519,8 @@ def set_documents(vectors):
 
 
 documents = set_documents(valid_vectors) | set_documents(any_vectors) | json_values
-set_files = st.binary(max_size=48) | documents.map(lambda doc: json.dumps(doc).encode())
+long_index_files = st.integers(1, 6000).map(lambda digits: b'{"kind": "points", "points": [[[' + b"9" * digits + b', "1"]]]}')
+set_files = st.binary(max_size=48) | documents.map(lambda doc: json.dumps(doc).encode()) | long_index_files
 
 
 @given(content=set_files)

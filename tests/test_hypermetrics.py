@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weakstar import hypermetrics
 from weakstar.errors import BadParameter, NotInNormalizingSet, UnboundedInput
 from weakstar.geometry import (
     PointSet,
@@ -242,6 +243,52 @@ class TestHausdorffFull:
         body = closed_convex_hull(b)
         points += list(body.vertices[:1])
         assert distances_to_body(points, body, MetricConfig()) == [point_body_distance(p, body) for p in points]
+
+    @given(
+        a=ball_point_sets,
+        b=ball_point_sets,
+        relation=st.sampled_from(["apart", "shared", "identical", "nested"]),
+        cfg=st.sampled_from(
+            [
+                MetricConfig(),
+                MetricConfig(PolarSpec(2)),
+                MetricConfig(Polyhedron([SparseVec.basis(k, s) for k in range(3) for s in (1, -1)])),
+                MetricConfig(explicit_functionals=[E0 + E1, SparseVec.basis(2, F(1, 2)), dual(0, -1, 3)]),
+            ]
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_skipping_equals_every_distance_lp(self, a, b, relation, cfg):
+        # hausdorff_full skips the vertices whose bound cannot raise the
+        # maximum; the value must be that of solving every distance LP.
+        first = closed_convex_hull(a)
+        second = {
+            "apart": closed_convex_hull(b),
+            "shared": closed_convex_hull(PointSet(b.points + first.vertices[:1])),
+            "identical": first,
+            "nested": closed_convex_hull(PointSet(a.points + b.points)),
+        }[relation]
+        every = [*distances_to_body(first.vertices, second, cfg), *distances_to_body(second.vertices, first, cfg)]
+        assert hausdorff_full(first, second, cfg) == max(F(0), *every)
+        assert hausdorff_full(second, first, cfg) == max(F(0), *every)
+
+    def test_nested_pair_skips_distance_lps(self, monkeypatch):
+        inner = Polyhedron([dual(F(x, 4), F(y, 4)) for x in (1, -1) for y in (1, -1)])
+        outer = Polyhedron([dual(F(x, 2), F(y, 2)) for x in (1, -1) for y in (1, -1)])
+        solved = []
+        counted = hypermetrics.solve_bounded
+
+        def counting(*args, **kwargs):
+            solved.append(args)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(hypermetrics, "solve_bounded", counting)
+        # A corner of the outer square is 1/4 from the inner one in both
+        # coordinates, weighted 1/4 and 1/8.
+        assert hausdorff_full(outer, inner) == F(3, 32)
+        assert len(solved) == 1
+        assert hausdorff_full(inner, outer) == F(3, 32)
+        assert len(solved) - 1 < len(inner.vertices) + len(outer.vertices)
 
     def test_rejects_rays(self):
         with pytest.raises(UnboundedInput):
