@@ -1,7 +1,9 @@
 """Tests for the certified densification run, its scheduler, and verification."""
 
 import dataclasses
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -335,6 +337,62 @@ class TestVerifyTrace:
         assert "result_extends_target" in {c.name for c in report.failures()}
 
 
+# Every (name, passed, detail) of verify_trace on a clean run and on tampered
+# traces and results, for each variant, pinned in a file.  A change that alters
+# the reports on purpose regenerates it with
+# ``PYTHONPATH=src python tests/test_poulsen.py`` and says so.
+REPORTS = Path(__file__).parent / "verify_trace_reports.json"
+
+
+def _tamper_step(trace, **changes):
+    step = dataclasses.replace(trace.steps[1], **changes)
+    return dataclasses.replace(trace, steps=trace.steps[:1] + (step,) + trace.steps[2:])
+
+
+TRACE_TAMPERS = {
+    "clean": lambda trace: trace,
+    "blend_changed": lambda trace: _tamper_step(trace, blend=trace.steps[1].blend + F(1, 1000)),
+    "spike_scale_halved": lambda trace: _tamper_step(trace, spike_scale=trace.steps[1].spike_scale / 2),
+    "fresh_coordinate_reused": lambda trace: _tamper_step(trace, fresh_coordinate=trace.steps[0].fresh_coordinate),
+    "functional_doubled": lambda trace: _tamper_step(trace, functional=trace.steps[1].functional.scale(2)),
+    "epsilon_over_1000": lambda trace: dataclasses.replace(trace, epsilon=trace.epsilon / 1000),
+}
+RESULT_TAMPERS = {
+    "vertex_outside_ball": lambda result: Polyhedron(list(result.vertices) + [SparseVec.basis(9, F(2))]),
+    "vertex_missing": lambda result: Polyhedron(result.vertices[1:]),
+    "ray_added": lambda result: Polyhedron(result.vertices, rays=[SparseVec.basis(0)]),
+}
+
+
+def pinned_reports() -> dict[str, list[list]]:
+    reports = {}
+    for variant in Variant:
+        target, result, trace = TestVerifyTrace().run(variant)
+        cases = {name: (result, tamper(trace)) for name, tamper in TRACE_TAMPERS.items()}
+        cases.update({name: (tamper(result), trace) for name, tamper in RESULT_TAMPERS.items()})
+        for name, (body, record) in cases.items():
+            report = verify_trace(target, POLAR, body, record)
+            reports[f"{variant.value}/{name}"] = [[c.name, c.passed, c.detail] for c in report.checks]
+    return reports
+
+
+class TestPinnedReports:
+    def test_reports_match_the_pinned_file(self):
+        expected = json.loads(REPORTS.read_text())
+        produced = pinned_reports()
+        assert sorted(produced) == sorted(expected)
+        for case, checks in expected.items():
+            assert produced[case] == checks, case
+
+    def test_every_check_fails_somewhere(self):
+        expected = json.loads(REPORTS.read_text())
+        names = {name for checks in expected.values() for name, _, _ in checks}
+        failed = {name for checks in expected.values() for name, passed, _ in checks if not passed}
+        assert len(names) == 12
+        assert failed == names
+        assert all(passed for case, checks in expected.items() if case.endswith("/clean") for _, passed, _ in checks)
+
+
 class TestJordanDecompose:
     def test_mixed_signs(self):
         pos, neg = jordan_decompose(vec({0: 3, 1: -2}))
@@ -369,3 +427,7 @@ class TestJordanDecompose:
             from weakstar.geometry import polar_contains
 
             assert polar_contains(pos, ball) and polar_contains(neg, ball)
+
+
+if __name__ == "__main__":
+    REPORTS.write_text(json.dumps(pinned_reports(), indent=1) + "\n")
