@@ -3,192 +3,28 @@
 Finitely supported rational sequences pair against summable rational
 sequences; polytopes and polyhedra live on the dual side and every distance,
 certificate, and construction step is computed in exact arithmetic.
+
+The public API is each module's ``__all__``, re-exported here in module order.
 """
 
-from .errors import (
-    BadParameter,
-    NotAVertex,
-    NotInNormalizingSet,
-    NotNested,
-    ParseError,
-    PreconditionError,
-    TargetOutsidePolar,
-    UnboundedInput,
-    VariantPreconditionViolated,
-    WeakstarError,
-)
-from .faces import (
-    DeviationEstimate,
-    ExposureCertificate,
-    certificate_is_valid,
-    compositions,
-    exposed_all,
-    exposure_certificate,
-    extreme_deviation,
-    fan_directions,
-    inscribed_polygon,
-    stadium_family,
-)
-from .geometry import (
-    FinitePoints,
-    Interval,
-    PointSet,
-    PolarSpec,
-    Polyhedron,
-    ScalarSet,
-    closed_convex_hull,
-    irredundant_vertices,
-    membership,
-    path_combine,
-    polar_contains,
-    recession_rays,
-    scalar_image,
-    support_value,
-)
-from .hypermetrics import (
-    ClopenAnd,
-    ClopenAtom,
-    ClopenExpr,
-    ClopenNot,
-    ClopenOr,
-    CylinderSpec,
-    MetricConfig,
-    clopen_eval,
-    cylinder_bounded,
-    hausdorff_full,
-    immeasurable_witness,
-    metric_d,
-    point_body_distance,
-    pseudometric_dH,
-    separating_direction,
-)
-from .limits import (
-    CandidateVerdict,
-    CounterexampleReport,
-    LimitReport,
-    SequencePrefix,
-    counterexample_demo,
-    li_ls_diagnostic,
-    monotone_limit,
-)
-from .numerics import (
-    BoundedInfeasible,
-    BoundedOptimal,
-    BoundedUnbounded,
-    Rational,
-    RationalLike,
-    SparseVec,
-    l1_norm,
-    pair,
-    rational_from_str,
-    rational_to_str,
-    solve_bounded,
-    sup_norm,
-)
-from .poulsen import (
-    CheckResult,
-    PoulsenStep,
-    PoulsenTrace,
-    SchedulerState,
-    Variant,
-    VerificationReport,
-    construct,
-    jordan_decompose,
-    scheduler_next,
-    scheduler_register,
-    scheduler_start,
-    verify_trace,
-)
+from . import errors, faces, geometry, hypermetrics, limits, numerics, poulsen
+from .errors import *  # noqa: F403
+from .faces import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .hypermetrics import *  # noqa: F403
+from .limits import *  # noqa: F403
+from .numerics import *  # noqa: F403
+from .poulsen import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "WeakstarError",
-    "ParseError",
-    "PreconditionError",
-    "BadParameter",
-    "UnboundedInput",
-    "NotInNormalizingSet",
-    "NotAVertex",
-    "NotNested",
-    "TargetOutsidePolar",
-    "VariantPreconditionViolated",
-    # numerics
-    "Rational",
-    "RationalLike",
-    "SparseVec",
-    "pair",
-    "l1_norm",
-    "sup_norm",
-    "rational_from_str",
-    "rational_to_str",
-    "solve_bounded",
-    "BoundedOptimal",
-    "BoundedUnbounded",
-    "BoundedInfeasible",
-    # geometry
-    "PointSet",
-    "Polyhedron",
-    "PolarSpec",
-    "ScalarSet",
-    "FinitePoints",
-    "Interval",
-    "closed_convex_hull",
-    "irredundant_vertices",
-    "membership",
-    "support_value",
-    "scalar_image",
-    "recession_rays",
-    "path_combine",
-    "polar_contains",
-    # hypermetrics
-    "MetricConfig",
-    "CylinderSpec",
-    "ClopenAtom",
-    "ClopenNot",
-    "ClopenAnd",
-    "ClopenOr",
-    "ClopenExpr",
-    "pseudometric_dH",
-    "metric_d",
-    "point_body_distance",
-    "hausdorff_full",
-    "separating_direction",
-    "immeasurable_witness",
-    "cylinder_bounded",
-    "clopen_eval",
-    # faces
-    "ExposureCertificate",
-    "DeviationEstimate",
-    "exposure_certificate",
-    "exposed_all",
-    "certificate_is_valid",
-    "extreme_deviation",
-    "stadium_family",
-    "inscribed_polygon",
-    "fan_directions",
-    "compositions",
-    # poulsen
-    "Variant",
-    "SchedulerState",
-    "PoulsenStep",
-    "PoulsenTrace",
-    "CheckResult",
-    "VerificationReport",
-    "scheduler_start",
-    "scheduler_next",
-    "scheduler_register",
-    "construct",
-    "verify_trace",
-    "jordan_decompose",
-    # limits
-    "SequencePrefix",
-    "CandidateVerdict",
-    "LimitReport",
-    "CounterexampleReport",
-    "li_ls_diagnostic",
-    "monotone_limit",
-    "counterexample_demo",
+    *errors.__all__,
+    *numerics.__all__,
+    *geometry.__all__,
+    *hypermetrics.__all__,
+    *faces.__all__,
+    *poulsen.__all__,
+    *limits.__all__,
 ]

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .errors import CertificateError, ParseError, PreconditionError
-from .faces import exposed_all, fan_directions, inscribed_polygon
+from .faces import ExposureCertificate, exposed_all, fan_directions, inscribed_polygon
 from .geometry import (
     PointSet,
     Polyhedron,
@@ -133,10 +133,16 @@ def load_document(path: str) -> dict:
     return doc
 
 
+# Most generators a ``points``, ``vertices`` or ``rays`` list may hold.
+GENERATORS_MAX = 1000
+
+
 def _vec_list(doc: dict, key: str, path: str) -> list[SparseVec]:
     raw = doc.get(key, [])
     if not isinstance(raw, list):
         raise ParseError(f"{path}: field {key!r} must be a list")
+    if len(raw) > GENERATORS_MAX:
+        raise ParseError(f"{path}: field {key!r} exceeds the limit of {GENERATORS_MAX} generators")
     return [vec_from_json(item) for item in raw]
 
 
@@ -366,11 +372,7 @@ def _trace_to_json(trace) -> dict:
                 "functional": vec_to_json(step.functional),
                 "base_point": vec_to_json(step.base_point),
                 "new_vertex": vec_to_json(step.new_vertex),
-                "certificate": {
-                    "vertex": vec_to_json(step.certificate.vertex),
-                    "functional": vec_to_json(step.certificate.functional),
-                    "margin": rational_to_str(step.certificate.margin),
-                },
+                "certificate": _cert_to_json(step.certificate),
             }
         )
     state = trace.schedule_state
@@ -383,6 +385,14 @@ def _trace_to_json(trace) -> dict:
         "steps": steps,
         "schedule_queue": [vec_to_json(v) for v in state.queue],
         "schedule_cursor": {"block": state.block, "stage": state.stage, "position": state.position},
+    }
+
+
+def _cert_to_json(cert: ExposureCertificate) -> dict:
+    return {
+        "vertex": vec_to_json(cert.vertex),
+        "functional": vec_to_json(cert.functional),
+        "margin": rational_to_str(cert.margin),
     }
 
 
@@ -407,17 +417,7 @@ def cmd_expose(args: argparse.Namespace) -> int:
             f" with margin {rational_to_str(cert.margin)}"
         )
         _print_approx(args, "margin", cert.margin)
-    payload = {
-        "kind": "report",
-        "certificates": [
-            {
-                "vertex": vec_to_json(cert.vertex),
-                "functional": vec_to_json(cert.functional),
-                "margin": rational_to_str(cert.margin),
-            }
-            for cert in certificates
-        ],
-    }
+    payload = {"kind": "report", "certificates": [_cert_to_json(cert) for cert in certificates]}
     _emit(args, manifest, "exposure.json", payload)
     return 0
 

@@ -41,7 +41,6 @@ __all__ = [
     "stadium_family",
     "inscribed_polygon",
     "fan_directions",
-    "compositions",
 ]
 
 

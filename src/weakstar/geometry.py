@@ -40,10 +40,8 @@ __all__ = [
     "closed_convex_hull",
     "irredundant_vertices",
     "membership",
-    "support_value",
     "scalar_image",
     "recession_rays",
-    "path_combine",
     "polar_contains",
 ]
 

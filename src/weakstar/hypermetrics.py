@@ -56,7 +56,6 @@ __all__ = [
     "ClopenNot",
     "ClopenAnd",
     "ClopenOr",
-    "ClopenExpr",
     "pseudometric_dH",
     "metric_d",
     "point_body_distance",

@@ -39,6 +39,7 @@ digits in its numerator and in its denominator.
 from __future__ import annotations
 
 import re
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -46,24 +47,20 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import CertificateError, ParseError
+from .errors import BadParameter, CertificateError, ParseError
 
 __all__ = [
-    "Rational",
     "RationalLike",
     "SparseVec",
     "pair",
     "l1_norm",
-    "sup_norm",
     "solve_bounded",
     "BoundedOptimal",
     "BoundedUnbounded",
     "BoundedInfeasible",
-    "rational_from_str",
     "rational_to_str",
 ]
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 LE, EQ, GE = "<=", "=", ">="
@@ -99,8 +96,16 @@ def rational_from_str(text: str) -> Fraction:
 
 
 def rational_to_str(q: Fraction) -> str:
-    """Canonical ``"num/den"`` form; the denominator is always written."""
-    return f"{q.numerator}/{q.denominator}"
+    """Canonical ``"num/den"`` form; the denominator is always written.
+
+    A part longer than the interpreter's integer-to-string digit limit raises
+    ``BadParameter`` naming that limit.
+    """
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise BadParameter(f"an exact value has a part of more than {limit} digits, the limit for writing it") from exc
 
 
 class SparseVec:

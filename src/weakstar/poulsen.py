@@ -14,11 +14,16 @@ Variants: ``PLAIN`` works anywhere in the ball, ``POSITIVE`` stays inside the
 positive cone, and ``STATE_SPACE`` keeps every vertex a finitely supported
 probability vector by renormalizing the blend.  ``jordan_decompose`` splits a
 point into its positive and negative parts, exactly and disjointly.
+
+The fair candidate scheduler (``SchedulerState`` and ``scheduler_start``,
+``scheduler_next``, ``scheduler_register``) is driven only by ``construct``,
+which records its final state in the trace; it is module-level but not part
+of ``__all__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
@@ -37,14 +42,10 @@ from .numerics import RationalLike, SparseVec, as_rational, pair, rational_to_st
 
 __all__ = [
     "Variant",
-    "SchedulerState",
     "PoulsenStep",
     "PoulsenTrace",
     "CheckResult",
     "VerificationReport",
-    "scheduler_start",
-    "scheduler_next",
-    "scheduler_register",
     "construct",
     "verify_trace",
     "jordan_decompose",
@@ -120,15 +121,7 @@ def _next_fresh(state: SchedulerState) -> tuple[Optional[SparseVec], SchedulerSt
                 found = point
                 break
         if found is not None:
-            new_state = SchedulerState(
-                stages=state.stages,
-                queue=state.queue,
-                seen=seen | {found},
-                block=block,
-                stage=stage,
-                position=position,
-            )
-            return found, new_state
+            return found, replace(state, seen=seen | {found}, block=block, stage=stage, position=position)
         stage, position = stage + 1, 0
 
 
@@ -146,14 +139,7 @@ def scheduler_next(state: SchedulerState) -> tuple[SparseVec, SchedulerState]:
     rotated = state.queue[1:] + (served,)
     fresh, advanced = _next_fresh(state)
     queue = rotated if fresh is None else rotated + (fresh,)
-    return served, SchedulerState(
-        stages=advanced.stages,
-        queue=queue,
-        seen=advanced.seen,
-        block=advanced.block,
-        stage=advanced.stage,
-        position=advanced.position,
-    )
+    return served, replace(advanced, queue=queue)
 
 
 def scheduler_register(state: SchedulerState, vertices: Sequence[SparseVec]) -> SchedulerState:
@@ -161,14 +147,7 @@ def scheduler_register(state: SchedulerState, vertices: Sequence[SparseVec]) -> 
     pool = tuple(dict.fromkeys(vertices))
     if not pool:
         raise BadParameter("a scheduler stage needs at least one vertex")
-    return SchedulerState(
-        stages=state.stages + (pool,),
-        queue=state.queue,
-        seen=state.seen,
-        block=state.block,
-        stage=state.stage,
-        position=state.position,
-    )
+    return replace(state, stages=state.stages + (pool,))
 
 
 @dataclass(frozen=True)
@@ -241,6 +220,16 @@ def _spike_scale(radius: Fraction, earlier_blends: Sequence[Fraction]) -> Fracti
     return scale
 
 
+def _blend(base: SparseVec, spike: SparseVec, lam: Fraction, scale: Fraction, variant: Variant) -> SparseVec:
+    """The new vertex: ``base`` moved toward ``spike`` with weight ``lam``.
+
+    ``STATE_SPACE`` keeps ``1 - lam * scale`` of the base, so a base with
+    coordinate sum 1 gives a vertex with coordinate sum 1.
+    """
+    keep = 1 - lam * scale if variant is Variant.STATE_SPACE else 1 - lam
+    return base.scale(keep) + spike.scale(lam)
+
+
 def _check_variant_vertex(v: SparseVec, variant: Variant) -> Optional[str]:
     """None if the vertex satisfies the variant's region constraint, else why not."""
     if variant is Variant.PLAIN:
@@ -299,11 +288,7 @@ def construct(
         spike = SparseVec.basis(fresh, scale)
         functional = SparseVec.basis(fresh, 1 / scale)
         base, state = scheduler_next(state)
-        if variant is Variant.STATE_SPACE:
-            keep = 1 - lam * scale
-        else:
-            keep = 1 - lam
-        omega = base.scale(keep) + spike.scale(lam)
+        omega = _blend(base, spike, lam, scale, variant)
         # The fresh coordinate pairs to lam on omega and to 0 on every other
         # vertex, so the exposure margin is exactly lam.
         certificate = ExposureCertificate(omega, functional, lam)
@@ -335,10 +320,6 @@ def construct(
     return result, trace
 
 
-def _check(name: str, passed: bool, detail: str) -> CheckResult:
-    return CheckResult(name=name, passed=passed, detail=detail)
-
-
 def verify_trace(
     target: Polyhedron,
     polar: PolarSpec,
@@ -352,142 +333,75 @@ def verify_trace(
     margin-maximizing program on the final vertex set for every appended
     vertex — it does not trust the certificates stored in the trace.
     """
-    checks: list[CheckResult] = []
-    cfg = MetricConfig(normalizing_set=polar)
-    eps = trace.epsilon
-
+    eps, steps = trace.epsilon, trace.steps
+    budgets = (("distance_within_double_budget", "2*eps", 2 * eps), ("distance_within_budget", "eps", eps))
+    # Each check is (name, failures, detail when there are none).
+    table: list[tuple[str, list[str], str]] = []
     try:
-        distance = hausdorff_full(target, result, cfg)
-        checks.append(
-            _check(
-                "distance_within_double_budget",
-                distance <= 2 * eps,
-                f"distance {rational_to_str(distance)} vs 2*eps {rational_to_str(2 * eps)}",
-            )
-        )
-        checks.append(
-            _check(
-                "distance_within_budget",
-                distance <= eps,
-                f"distance {rational_to_str(distance)} vs eps {rational_to_str(eps)}",
-            )
-        )
+        distance = hausdorff_full(target, result, MetricConfig(normalizing_set=polar))
     except Exception as exc:  # malformed inputs become report entries
-        checks.append(_check("distance_within_double_budget", False, f"failed to evaluate: {exc}"))
-        checks.append(_check("distance_within_budget", False, f"failed to evaluate: {exc}"))
+        table += [(name, [f"failed to evaluate: {exc}"], "") for name, _, _ in budgets]
+    else:
+        for name, label, bound in budgets:
+            text = f"distance {rational_to_str(distance)} vs {label} {rational_to_str(bound)}"
+            table.append((name, [] if distance <= bound else [text], text))
 
-    lam_bad = []
-    for step in trace.steps:
-        expected = _blend_weight(step.index, eps)
-        if step.blend != expected:
-            lam_bad.append(
-                f"step {step.index}: blend {rational_to_str(step.blend)}"
-                f" != {rational_to_str(expected)}"
-            )
-    checks.append(
-        _check(
-            "schedule_blend_weights",
-            not lam_bad,
-            "; ".join(lam_bad) if lam_bad else f"all {len(trace.steps)} blend weights match",
-        )
-    )
-
-    scale_bad = []
-    for i, step in enumerate(trace.steps):
-        expected = _spike_scale(polar.radius, [s.blend for s in trace.steps[:i]])
-        if step.spike_scale != expected:
+    lam_bad, scale_bad = [], []
+    for i, step in enumerate(steps):
+        lam = _blend_weight(step.index, eps)
+        if step.blend != lam:
+            lam_bad.append(f"step {step.index}: blend {rational_to_str(step.blend)} != {rational_to_str(lam)}")
+        scale = _spike_scale(polar.radius, [s.blend for s in steps[:i]])
+        if step.spike_scale != scale:
             scale_bad.append(
-                f"step {step.index}: scale {rational_to_str(step.spike_scale)}"
-                f" != {rational_to_str(expected)}"
+                f"step {step.index}: scale {rational_to_str(step.spike_scale)} != {rational_to_str(scale)}"
             )
-    checks.append(
-        _check(
-            "schedule_spike_scales",
-            not scale_bad,
-            "; ".join(scale_bad) if scale_bad else f"all {len(trace.steps)} spike scales match",
-        )
-    )
 
     used: set[int] = set()
     for v in target.vertices:
         used.update(v.support)
     fresh_bad = []
-    for step in trace.steps:
+    for step in steps:
         if step.fresh_coordinate in used:
             fresh_bad.append(f"step {step.index} reuses coordinate {step.fresh_coordinate}")
         used.add(step.fresh_coordinate)
         used.update(step.new_vertex.support)
-    checks.append(
-        _check(
-            "fresh_coordinates",
-            not fresh_bad,
-            "; ".join(fresh_bad) if fresh_bad else "every step spikes an unused coordinate",
-        )
-    )
 
     norm_bad = []
-    for step in trace.steps:
+    for step in steps:
         if step.spike != SparseVec.basis(step.fresh_coordinate, step.spike_scale):
             norm_bad.append(f"step {step.index}: spike is not scale * basis")
         if pair(step.functional, step.spike) != 1:
             norm_bad.append(f"step {step.index}: functional does not pair to 1 with its spike")
         if any(pair(step.functional, v) != 0 for v in target.vertices):
             norm_bad.append(f"step {step.index}: functional sees the target")
-        for earlier in trace.steps[: step.index - 1]:
+        for earlier in steps[: step.index - 1]:
             if pair(step.functional, earlier.new_vertex) != 0:
-                norm_bad.append(
-                    f"step {step.index}: functional sees vertex of step {earlier.index}"
-                )
-    checks.append(
-        _check(
-            "spike_normalization",
-            not norm_bad,
-            "; ".join(norm_bad) if norm_bad else "all spikes and functionals are normalized",
-        )
-    )
+                norm_bad.append(f"step {step.index}: functional sees vertex of step {earlier.index}")
 
-    blend_bad = []
-    for step in trace.steps:
-        if trace.variant is Variant.STATE_SPACE:
-            keep = 1 - step.blend * step.spike_scale
-        else:
-            keep = 1 - step.blend
-        expected = step.base_point.scale(keep) + step.spike.scale(step.blend)
-        if step.new_vertex != expected:
-            blend_bad.append(f"step {step.index}: vertex does not match its blend")
-    checks.append(
-        _check(
-            "blend_identity",
-            not blend_bad,
-            "; ".join(blend_bad) if blend_bad else "every vertex equals its recorded blend",
-        )
-    )
+    blend_bad = [
+        f"step {step.index}: vertex does not match its blend"
+        for step in steps
+        if step.new_vertex != _blend(step.base_point, step.spike, step.blend, step.spike_scale, trace.variant)
+    ]
 
     margin_bad = []
-    for step in trace.steps:
+    for step in steps:
         value = pair(step.functional, step.new_vertex)
         if value != step.blend:
             margin_bad.append(
-                f"step {step.index}: functional value {rational_to_str(value)}"
-                f" != blend {rational_to_str(step.blend)}"
+                f"step {step.index}: functional value {rational_to_str(value)} != blend {rational_to_str(step.blend)}"
             )
-        for later in trace.steps[step.index :]:
+        for later in steps[step.index :]:
             cross = pair(step.functional, later.new_vertex)
             if not cross < step.blend:
                 margin_bad.append(
                     f"step {step.index} vs {later.index}: cross pairing"
                     f" {rational_to_str(cross)} not below {rational_to_str(step.blend)}"
                 )
-    checks.append(
-        _check(
-            "designated_margins",
-            not margin_bad,
-            "; ".join(margin_bad) if margin_bad else "all designated pairings are strict",
-        )
-    )
 
     exposure_bad = []
-    for step in trace.steps:
+    for step in steps:
         try:
             cert = exposure_certificate(result, step.new_vertex)
         except Exception as exc:
@@ -495,56 +409,33 @@ def verify_trace(
             continue
         if cert.margin <= 0:
             exposure_bad.append(f"step {step.index}: nonpositive margin")
-    checks.append(
-        _check(
-            "designated_exposed",
-            not exposure_bad,
-            "; ".join(exposure_bad)
-            if exposure_bad
-            else f"fresh exposure programs passed for all {len(trace.steps)} vertices",
-        )
-    )
 
-    polar_bad = [
-        repr(v)
-        for v in list(result.vertices) + [s.new_vertex for s in trace.steps]
-        if not polar_contains(v, polar)
-    ]
-    checks.append(
-        _check(
-            "vertices_in_ball",
-            not polar_bad,
-            "; ".join(polar_bad) if polar_bad else "every vertex stays inside the ball",
-        )
-    )
+    polar_bad = [repr(v) for v in [*result.vertices, *(s.new_vertex for s in steps)] if not polar_contains(v, polar)]
 
     try:
         missing = [repr(v) for v in target.vertices if not membership(v, result)]
     except Exception as exc:
         missing = [f"failed to evaluate: {exc}"]
-    checks.append(
-        _check(
-            "result_extends_target",
-            not missing,
-            "; ".join(missing) if missing else "the result hull contains every target vertex",
-        )
-    )
 
+    table += [
+        ("schedule_blend_weights", lam_bad, f"all {len(steps)} blend weights match"),
+        ("schedule_spike_scales", scale_bad, f"all {len(steps)} spike scales match"),
+        ("fresh_coordinates", fresh_bad, "every step spikes an unused coordinate"),
+        ("spike_normalization", norm_bad, "all spikes and functionals are normalized"),
+        ("blend_identity", blend_bad, "every vertex equals its recorded blend"),
+        ("designated_margins", margin_bad, "all designated pairings are strict"),
+        ("designated_exposed", exposure_bad, f"fresh exposure programs passed for all {len(steps)} vertices"),
+        ("vertices_in_ball", polar_bad, "every vertex stays inside the ball"),
+        ("result_extends_target", missing, "the result hull contains every target vertex"),
+    ]
     if trace.variant is not Variant.PLAIN:
         region_bad = []
         for v in result.vertices:
             why = _check_variant_vertex(v, trace.variant)
             if why is not None:
                 region_bad.append(f"{v!r} {why}")
-        checks.append(
-            _check(
-                "variant_region",
-                not region_bad,
-                "; ".join(region_bad) if region_bad else f"all vertices satisfy {trace.variant.value}",
-            )
-        )
-
-    return VerificationReport(checks=tuple(checks))
+        table.append(("variant_region", region_bad, f"all vertices satisfy {trace.variant.value}"))
+    return VerificationReport(tuple(CheckResult(name, not bad, "; ".join(bad) or ok) for name, bad, ok in table))
 
 
 def jordan_decompose(sigma: SparseVec) -> tuple[SparseVec, SparseVec]:

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -461,6 +463,36 @@ class TestExitCodes:
         assert cli.main(["distance", path, path, "--direction", f"e{cli.INDEX_MAX}"]) == 0
         assert capsys.readouterr().out.split() == ["0/1", "0/1"]
 
+    @pytest.mark.parametrize("key", ["points", "vertices", "rays"])
+    def test_generators_past_the_limit_are_a_parse_error(self, tmp_path, capsys, key):
+        many = [vj({0: str(k + 1)}) for k in range(cli.GENERATORS_MAX + 1)]
+        doc = {"kind": "points", "points": many} if key == "points" else poly_doc([{}])
+        if key != "points":
+            doc[key] = many
+        path = write_doc(tmp_path / "many.json", doc)
+        assert cli.main(["hull", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"field {key!r} exceeds the limit of 1000 generators" in captured.err
+
+    def test_generators_at_the_limit_are_read(self, files, capsys):
+        path = write_doc(files["dir"] / "many.json", points_doc(*({0: str(k)} for k in range(cli.GENERATORS_MAX))))
+        assert cli.main(["distance", path, files["origin"], "--direction", "e0"]) == 0
+        assert capsys.readouterr().out == "999/1\n"
+
+    def test_result_too_long_to_write_is_a_precondition_error(self, tmp_path, capsys):
+        # Every literal is within the digit limit, but the exact distance has
+        # a denominator of about 12,000 digits, more than int() will print.
+        rng = random.Random(0)
+        first, second = (
+            write_doc(tmp_path / name, points_doc({k: f"1/{rng.randrange(10**999, 10**1000)}" for k in range(6)}))
+            for name in ("a.json", "b.json")
+        )
+        assert cli.main(["distance", first, second]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"more than {sys.get_int_max_str_digits()} digits" in captured.err
+
     def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000)
@@ -495,8 +527,9 @@ class TestExitCodes:
 
 # Small documents, valid and not: at most 4 points on coordinates 0-3, some
 # well formed, some with indices and literals drawn from arbitrary values or
-# at and past the index limit, beside arbitrary JSON and arbitrary bytes, and
-# single-entry files whose index has up to 6,000 digits.
+# at and past the index limit, beside arbitrary JSON and arbitrary bytes,
+# single-entry files whose index has up to 6,000 digits, and generator lists
+# past the length limit.
 valid_vectors = st.dictionaries(st.integers(0, 3), st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "2/4"]), max_size=4).map(vj)
 huge_indices = st.sampled_from([cli.INDEX_MAX, cli.INDEX_MAX + 1]) | st.integers(cli.INDEX_MAX, 10**4000)
 any_vectors = st.lists(
@@ -520,7 +553,16 @@ def set_documents(vectors):
 
 documents = set_documents(valid_vectors) | set_documents(any_vectors) | json_values
 long_index_files = st.integers(1, 6000).map(lambda digits: b'{"kind": "points", "points": [[[' + b"9" * digits + b', "1"]]]}')
-set_files = st.binary(max_size=48) | documents.map(lambda doc: json.dumps(doc).encode()) | long_index_files
+oversized_lists = st.builds(
+    lambda key, count: json.dumps(
+        {"kind": "points" if key == "points" else "polyhedron", "vertices": [[]], key: [[[0, "1"]]] * count}
+    ).encode(),
+    st.sampled_from(["points", "vertices", "rays"]),
+    st.integers(cli.GENERATORS_MAX + 1, 3 * cli.GENERATORS_MAX),
+)
+set_files = (
+    st.binary(max_size=48) | documents.map(lambda doc: json.dumps(doc).encode()) | long_index_files | oversized_lists
+)
 
 
 @given(content=set_files)

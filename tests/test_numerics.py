@@ -98,6 +98,11 @@ class TestRationalLiterals:
         with pytest.raises(ParseError, match="rational literal"):
             as_rational(text)
 
+    @pytest.mark.parametrize("q", [F(10**5000), F(1, 10**5000)], ids=["numerator", "denominator"])
+    def test_part_too_long_to_write_is_a_precondition_error(self, q):
+        with pytest.raises(PreconditionError, match=f"more than {sys.get_int_max_str_digits()} digits"):
+            numerics.rational_to_str(q)
+
 
 class TestPairAndNorms:
     def test_single_coordinate_pairing(self):

@@ -1,0 +1,46 @@
+"""The package root re-exports exactly each module's ``__all__``, in module order."""
+
+import weakstar
+from weakstar import errors, faces, geometry, hypermetrics, limits, numerics, poulsen
+
+MODULES = (errors, numerics, geometry, hypermetrics, faces, poulsen, limits)
+
+# Names no command, acceptance criterion or claim of the paper needs; they
+# stay module-level for the tests that use them, except ``Rational``.
+UNEXPORTED = {
+    "sup_norm",
+    "support_value",
+    "path_combine",
+    "compositions",
+    "scheduler_start",
+    "scheduler_next",
+    "scheduler_register",
+    "SchedulerState",
+    "rational_from_str",
+    "ClopenExpr",
+    "Rational",
+}
+
+
+def test_root_all_is_every_module_all_in_order():
+    assert weakstar.__all__ == ["__version__", *(name for module in MODULES for name in module.__all__)]
+
+
+def test_every_root_name_is_unique_and_resolves_to_its_module():
+    assert len(set(weakstar.__all__)) == len(weakstar.__all__)
+    assert isinstance(weakstar.__version__, str)
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(weakstar, name) is getattr(module, name)
+
+
+def test_certificate_error_is_exported():
+    assert "CertificateError" in weakstar.__all__
+    assert weakstar.CertificateError is errors.CertificateError
+
+
+def test_unneeded_names_are_not_exported():
+    assert not UNEXPORTED & set(weakstar.__all__)
+    for name in UNEXPORTED - {"Rational"}:
+        assert any(hasattr(module, name) for module in MODULES), name
+    assert not hasattr(numerics, "Rational")
