@@ -27,7 +27,7 @@ from math import inf
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import CertificateError, ParseError, PreconditionError
+from .errors import BadParameter, CertificateError, ParseError, PreconditionError
 from .faces import ExposureCertificate, exposed_all, fan_directions, inscribed_polygon
 from .geometry import (
     PointSet,
@@ -333,8 +333,24 @@ def cmd_distance(args: argparse.Namespace) -> int:
     return 0
 
 
+# Largest counts the commands accept: a run at these limits takes at most about
+# 16 s on 2 CPUs, and the time for steps and spikes grows far faster than linearly.
+STEPS_MAX = 64
+SPIKES_MAX = 64
+DIRECTIONS_MAX = 1000
+
+
+def _at_most(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise BadParameter(f"{what} {value} exceeds the limit of {limit}")
+
+
 def cmd_poulsen(args: argparse.Namespace) -> int:
+    _at_most("--steps", args.steps, STEPS_MAX)
     target = load_body(args.target)
+    # Each step spikes along the next fresh coordinate, which result.json must name.
+    used = max((k for v in target.vertices for k in v.support), default=-1)
+    _at_most("the last fresh coordinate index", used + args.steps, INDEX_MAX)
     epsilon = as_rational(args.epsilon)
     polar = PolarSpec(as_rational(args.radius))
     variant = Variant(args.variant)
@@ -546,6 +562,8 @@ def cmd_immeasurable(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
+    _at_most("--spikes", args.spikes, SPIKES_MAX)
+    _at_most("--directions", args.directions, DIRECTIONS_MAX)
     config = {"spikes": args.spikes, "directions": args.directions, "seed": args.seed}
     manifest = _manifest(args, [], config)
 
@@ -635,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poulsen", help="append certified exposed vertices toward a dense boundary")
     p.add_argument("target")
     p.add_argument("--epsilon", required=True, help="distance budget (rational)")
-    p.add_argument("--steps", required=True, type=int, help="number of vertices to append")
+    p.add_argument("--steps", required=True, type=int, help=f"number of vertices to append, at most {STEPS_MAX}")
     p.add_argument("--variant", default="plain", choices=[v.value for v in Variant])
     p.add_argument("--seed", default=0, type=int)
     p.add_argument("--radius", default="1", help="l1-ball radius containing the construction")
@@ -675,8 +693,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_immeasurable)
 
     p = sub.add_parser("demo", help="escaping-spike family and the polygon degeneracy sweep")
-    p.add_argument("--spikes", default=5, type=int, help="number of spikes in the escaping family")
-    p.add_argument("--directions", default=20, type=int, help="sample size for the sweep directions")
+    p.add_argument("--spikes", default=5, type=int, help=f"number of spikes in the escaping family, at most {SPIKES_MAX}")
+    p.add_argument("--directions", default=20, type=int, help=f"sample size for the sweep directions, at most {DIRECTIONS_MAX}")
     p.add_argument("--seed", default=2026, type=int)
     _add_common_flags(p)
     p.set_defaults(func=cmd_demo)

@@ -16,9 +16,9 @@ Three layers of structure, all exact:
   A vertex's ``metric_d`` to the nearest vertex of the other polytope bounds
   its distance in closed form, and a vertex whose bound cannot raise the
   maximum solves no LP.  ``distances_to_body`` builds the distance LP of one
-  body once for many points; the LPs differ only in their objective, so they
-  share one phase 1, and a term no vertex of the body sees is added in
-  closed form instead of as a column.
+  body once for many points; the LPs differ only in their objective, each
+  starts feasible so phase 1 makes no pivot, and a term no vertex of the
+  body sees is added in closed form instead of as a column.
 
 The module also produces separation witnesses (a functional telling two
 distinct hulls apart), infinite-distance witnesses (a functional seeing a
@@ -47,7 +47,7 @@ from .geometry import (
     recession_rays,
     scalar_image,
 )
-from .numerics import BoundedOptimal, SparseVec, pair, shared_phase1, solve_bounded
+from .numerics import BoundedOptimal, SparseVec, pair, solve_bounded
 
 __all__ = [
     "MetricConfig",
@@ -255,40 +255,42 @@ def _distance_lp(body_images: Sequence[list[Fraction]], weights: Sequence[Fracti
     The metric is a weighted l1 norm of image differences, so the distance is
     the maximum of ``y . image(sigma) - z`` over the dual box
     ``|y_n| <= weight_n`` with ``z >= y . image(q)`` for every vertex ``q``: a
-    small LP with one row per vertex.  Only the objective depends on the
-    point, so the LPs against one body share one phase 1 inside a
-    ``shared_phase1()`` block.  A coordinate ``y_n`` with no entry in any row
-    gets no column: its term is ``weight_n * |image(sigma)_n|`` in closed form.
+    small LP with one row per vertex.  The free ``z`` is written
+    ``floor + zp - zm``, where ``floor`` is the least ``z`` that every row
+    allows at ``y = -weights``; that start point satisfies every row
+    ``y . image(q) - zp + zm <= floor``, so the LP starts feasible on its
+    slacks.  A coordinate ``y_n`` with no entry in any row gets no column: its
+    term is ``weight_n * |image(sigma)_n|`` in closed form.
     """
     cols = [k for k in range(len(weights)) if any(img[k] for img in body_images)]
     loose = [k for k in range(len(weights)) if k not in cols]
+    floor = max(-sum((weights[k] * img[k] for k in cols), Fraction(0)) for img in body_images)
 
-    def linear(img: list[Fraction]) -> dict:  # y . img - zp + zm, with z = zp - zm
+    def linear(img: list[Fraction]) -> dict:  # y . img - zp + zm, with z = floor + zp - zm
         return {**{("y", k): img[k] for k in cols}, ("zp",): Fraction(-1), ("zm",): Fraction(1)}
 
     variables = [("y", k) for k in cols] + [("zp",), ("zm",)]
     lower = {("y", k): -weights[k] for k in cols}
     upper = {("y", k): weights[k] for k in cols}
-    rows = [(linear(img), "<=", Fraction(0)) for img in body_images]
+    rows = [(linear(img), "<=", floor) for img in body_images]
 
     def distance(image: list[Fraction]) -> Fraction:
         out = solve_bounded(variables, linear(image), rows, lower=lower, upper=upper, sense="max")
         if not isinstance(out, BoundedOptimal):
             raise CertificateError(f"distance LP gave {type(out).__name__}, not an optimum")
-        return out.value + sum((weights[k] * abs(image[k]) for k in loose), Fraction(0))
+        return out.value - floor + sum((weights[k] * abs(image[k]) for k in loose), Fraction(0))
 
     return distance
 
 
 def distances_to_body(points: Sequence[SparseVec], body: Polyhedron, cfg: MetricConfig = MetricConfig()) -> list[Fraction]:
-    """``point_body_distance`` of each point, from one distance-LP set-up and one phase 1 per body."""
+    """``point_body_distance`` of each point, from one distance-LP set-up per body; each LP starts feasible."""
     if body.rays:
         raise UnboundedInput("distance target must be a polytope")
     ns = cfg.term_indices(*points, *body.vertices)
     images = _images(cfg, ns, [*points, *body.vertices])
     distance = _distance_lp([images[q] for q in body.vertices], [cfg.weight(n) for n in ns])
-    with shared_phase1():
-        return [Fraction(0) if sigma in body.vertices else distance(images[sigma]) for sigma in points]
+    return [Fraction(0) if sigma in body.vertices else distance(images[sigma]) for sigma in points]
 
 
 def hausdorff_full(first: Polyhedron, second: Polyhedron, cfg: MetricConfig = MetricConfig()) -> Fraction:
@@ -326,11 +328,10 @@ def hausdorff_full(first: Polyhedron, second: Polyhedron, cfg: MetricConfig = Me
             for sigma in points
         }
         distance = _distance_lp([images[q] for q in body.vertices], weights)
-        with shared_phase1():
-            for sigma in sorted(points, key=bound.__getitem__, reverse=True):
-                if bound[sigma] * best.denominator <= best.numerator * scale:
-                    break
-                best = max(best, distance(images[sigma]))
+        for sigma in sorted(points, key=bound.__getitem__, reverse=True):
+            if bound[sigma] * best.denominator <= best.numerator * scale:
+                break
+            best = max(best, distance(images[sigma]))
     return best
 
 

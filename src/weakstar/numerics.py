@@ -22,11 +22,10 @@ by Azulay and Pique).  Ratio tests compare integer pairs by
 cross-multiplication, so every decision, and hence every pivot, is the one
 exact rational arithmetic would make.
 
-Phase 1 never reads the objective.  Inside a ``shared_phase1()`` block,
-``solve_bounded`` keeps the tableau of the last feasible program as phase 1
-left it, and a later call on an equal program (variables, bounds and rows)
-starts phase 2 from a copy of it: the same pivots and witness as a cold
-solve, one phase 1 for a batch of LPs that differ only in their objective.
+A ``<=`` row whose right side stays nonnegative when the lower bounds are
+shifted to zero (or a ``>=`` row whose right side stays nonpositive) starts on
+its slack and needs no artificial column; a program made only of such rows
+starts feasible, and its phase 1 makes no pivot.
 
 Every outcome carries an exactly checkable witness and is re-verified, in
 ``Fraction`` arithmetic against the caller's unmodified rows, before being
@@ -40,12 +39,10 @@ from __future__ import annotations
 
 import re
 import sys
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Hashable, Iterable, Mapping, Sequence, Union
 
 from .errors import BadParameter, CertificateError, ParseError
 
@@ -274,29 +271,7 @@ def solve_bounded(
     proving infeasibility (see ``BoundedInfeasible``).  All three are
     re-checked exactly before returning.
     """
-    solver = _Simplex(variables, objective, rows, lower or {}, upper or {}, sense)
-    return solver.run(_PHASE1_SLOT.get())
-
-
-# ``[program, post-eviction state]`` of the last feasible phase 1 in a block.
-_PHASE1_SLOT: ContextVar[list | None] = ContextVar("weakstar_phase1_slot", default=None)
-# What phase 2 reads of the tableau, besides the caller's program, after phase 1.
-_PHASE1_STATE = ("slack_col", "art_col", "row_sign", "first_art", "ncols", "ub",
-                 "T", "b", "den", "basis", "flipped", "live_rows", "dropped_rows")
-
-
-@contextmanager
-def shared_phase1() -> Iterator[None]:
-    """Inside the block, LPs with equal variables, bounds and rows run phase 1 once.
-
-    Phase 1 never reads the objective, so restoring its end state makes exactly
-    the pivots of a cold solve.  A ``ContextVar`` scopes the slot to the block.
-    """
-    token = _PHASE1_SLOT.set([])
-    try:
-        yield
-    finally:
-        _PHASE1_SLOT.reset(token)
+    return _Simplex(variables, objective, rows, lower or {}, upper or {}, sense).run()
 
 
 def _dot(coeffs: Mapping[int, Fraction], x: Sequence[Fraction]) -> Fraction:
@@ -611,22 +586,9 @@ class _Simplex:
 
     # -- driver --------------------------------------------------------------
 
-    def run(self, slot: list | None = None) -> BoundedOutcome:
-        """Solve; inside ``shared_phase1``, ``slot`` gives or keeps phase 1's end state."""
-        program = (self.varkeys, self.low, self.upp, self.caller_rows)
-        if slot and slot[0] == program:
-            self._restore_phase1(slot[1])
-        elif (infeasible := self._phase1()) is not None:
-            return infeasible
-        elif slot is not None:
-            slot[:] = [program, {k: getattr(self, k) for k in _PHASE1_STATE}]
-            self._restore_phase1(slot[1])
-        return self._phase2()
-
-    def _restore_phase1(self, state: dict):
-        """Take a copy of ``state`` that phase 2 can change without touching the original."""
-        copied = {k: v[:] if isinstance(v, list) else v for k, v in state.items()}
-        vars(self).update(copied, T=[row[:] for row in state["T"]])
+    def run(self) -> BoundedOutcome:
+        infeasible = self._phase1()
+        return infeasible if infeasible is not None else self._phase2()
 
     def _phase1(self) -> BoundedInfeasible | None:
         """Build the tableau, drive the artificials to zero and evict them."""

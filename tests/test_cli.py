@@ -35,6 +35,14 @@ def poly_doc(vertices, rays=()):
     return {"kind": "polyhedron", "vertices": [vj(v) for v in vertices], "rays": [vj(r) for r in rays]}
 
 
+class Reached(Exception):
+    """Raised by a stand-in for the work a command starts once its checks pass."""
+
+
+def reached(*args, **kwargs):
+    raise Reached
+
+
 @pytest.fixture
 def files(tmp_path):
     return {
@@ -241,6 +249,31 @@ class TestPoulsen:
         assert cli.main(argv) == 0
         capsys.readouterr()
 
+    def test_step_limit(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "construct", reached)
+        argv = ["poulsen", files["origin"], "--epsilon", "1/2", "--steps"]
+        with pytest.raises(Reached):
+            cli.main([*argv, str(cli.STEPS_MAX)])
+        assert cli.main([*argv, str(cli.STEPS_MAX + 1)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--steps {cli.STEPS_MAX + 1} exceeds the limit of {cli.STEPS_MAX}" in captured.err
+
+    def test_fresh_coordinates_stay_within_the_index_limit(self, tmp_path, capsys):
+        # Every step names the next fresh coordinate in result.json, which
+        # must load again: index 999 leaves room for one step, not two.
+        target = write_doc(tmp_path / "far.json", points_doc({cli.INDEX_MAX - 1: "1/2"}))
+        out = tmp_path / "run"
+        argv = ["poulsen", target, "--epsilon", "1/2", "--out", str(out), "--steps"]
+        assert cli.main([*argv, "1"]) == 0
+        assert cli.main(["hull", str(out / "result.json")]) == 0
+        capsys.readouterr()
+        for steps in ("2", "3"):
+            assert cli.main([*argv, steps]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"exceeds the limit of {cli.INDEX_MAX}" in captured.err
+
 
 class TestExpose:
     def test_square_vertices_all_exposed(self, files, tmp_path, capsys):
@@ -397,6 +430,16 @@ class TestDemo:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "BadParameter" in captured.err
+
+    @pytest.mark.parametrize("flag, limit", [("--spikes", cli.SPIKES_MAX), ("--directions", cli.DIRECTIONS_MAX)])
+    def test_count_limits(self, capsys, monkeypatch, flag, limit):
+        monkeypatch.setattr(cli, "counterexample_demo", reached)
+        with pytest.raises(Reached):
+            cli.main(["demo", flag, str(limit)])
+        assert cli.main(["demo", flag, str(limit + 1)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} {limit + 1} exceeds the limit of {limit}" in captured.err
 
     def test_demo_output_is_deterministic(self, capsys):
         assert cli.main(["demo", "--spikes", "2"]) == 0

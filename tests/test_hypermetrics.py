@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 from math import inf
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _fraction_simplex_oracle import solve_bounded as oracle_solve
 from weakstar import hypermetrics
 from weakstar.errors import BadParameter, NotInNormalizingSet, UnboundedInput
 from weakstar.geometry import (
@@ -34,7 +36,7 @@ from weakstar.hypermetrics import (
     pseudometric_dH,
     separating_direction,
 )
-from weakstar.numerics import SparseVec, l1_norm, pair
+from weakstar.numerics import SparseVec, _Simplex, l1_norm, pair
 
 F = Fraction
 ZERO = SparseVec.zero()
@@ -238,11 +240,54 @@ class TestHausdorffFull:
     )
     @settings(max_examples=30, deadline=None)
     def test_batched_distances_equal_one_point_distances(self, points, b):
-        # The batch adds columns for every point's support and shares phase 1;
-        # neither may change a value.
+        # The batch adds columns for every point's support; that may not
+        # change a value.
         body = closed_convex_hull(b)
         points += list(body.vertices[:1])
         assert distances_to_body(points, body, MetricConfig()) == [point_body_distance(p, body) for p in points]
+
+    @given(
+        points=st.lists(ball_points, min_size=1, max_size=4),
+        b=ball_point_sets,
+        cfg=st.sampled_from(
+            [
+                MetricConfig(),
+                MetricConfig(PolarSpec(2)),
+                MetricConfig(explicit_functionals=[E0 + E1, SparseVec.basis(2, F(1, 2)), dual(0, -1, 3)]),
+            ]
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_feasible_start_matches_the_textbook_distance_lp(self, points, b, cfg):
+        # The textbook distance LP has right sides 0, a free z = zp - zm and a
+        # column for every y_n in [-w_n, w_n]; the frozen oracle solves it.
+        # The shifted LP must give the same values and build no artificial.
+        body = closed_convex_hull(b)
+        ns = cfg.term_indices(*points, *body.vertices)
+        weights = {("y", n): cfg.weight(n) for n in ns}
+        images = hypermetrics._images(cfg, ns, [*points, *body.vertices])
+
+        def linear(img):
+            return {**dict(zip(weights, img)), ("zp",): F(-1), ("zm",): F(1)}
+
+        rows = [(linear(images[q]), "<=", F(0)) for q in body.vertices]
+        lower = {y: -w for y, w in weights.items()}
+        want = []
+        for sigma in points:
+            out = oracle_solve([*weights, ("zp",), ("zm",)], linear(images[sigma]), rows, lower=lower, upper=weights)
+            want.append(out.value)
+
+        builds = []
+        build = _Simplex._build_tableau
+
+        def spy(self):
+            build(self)
+            builds.append((self.first_art, self.ncols))
+
+        with mock.patch.object(_Simplex, "_build_tableau", spy):
+            assert distances_to_body(points, body, cfg) == want
+        assert len(builds) == sum(sigma not in body.vertices for sigma in points)
+        assert all(first_art == ncols for first_art, ncols in builds)
 
     @given(
         a=ball_point_sets,

@@ -415,34 +415,34 @@ else:
 """
 
 
-# A phase-1 end state restored inside ``shared_phase1`` with one right side
-# off by +1: the tableau then solves x + y = 4, so the check of the witness
-# against the caller's own row x + y = 3 must reject it.
-PERTURBED_RESTORE = """
+# A tableau built with one right side off by +1.  The distance LP against a
+# one-vertex body has one row, tight at the optimum, so the tableau's optimum
+# breaks the caller's own row and the witness check must reject it.
+PERTURBED_RIGHT_SIDE = """
 import sys
 from fractions import Fraction as F
 from weakstar import numerics
 from weakstar.errors import CertificateError
+from weakstar.geometry import Polyhedron
+from weakstar.hypermetrics import point_body_distance
+from weakstar.numerics import SparseVec
 
-restore = numerics._Simplex._restore_phase1
+build = numerics._Simplex._build_tableau
 
-def perturbed(self, state):
-    restore(self, state)
+def perturbed(self):
+    build(self)
     self.b[0] += self.den[0]
 
-program = (["x", "y"], [({"x": F(1), "y": F(1)}, "=", F(3))])
-upper = {"x": F(2), "y": F(2)}
+sigma, body = SparseVec({0: F(1, 2)}), Polyhedron([SparseVec({1: F(1, 2)})])
 print("optimize", sys.flags.optimize)
-with numerics.shared_phase1():
-    print("cold", numerics.solve_bounded(program[0], {"x": F(1)}, program[1], upper=upper).value)
-    print("restored", numerics.solve_bounded(program[0], {"y": F(1)}, program[1], upper=upper).value)
-    numerics._Simplex._restore_phase1 = perturbed
-    try:
-        numerics.solve_bounded(program[0], {"x": F(1), "y": F(2)}, program[1], upper=upper)
-    except CertificateError as exc:
-        print("rejected", exc)
-    else:
-        print("accepted")
+print("clean", point_body_distance(sigma, body))
+numerics._Simplex._build_tableau = perturbed
+try:
+    point_body_distance(sigma, body)
+except CertificateError as exc:
+    print("rejected", exc)
+else:
+    print("accepted")
 """
 
 
@@ -515,10 +515,9 @@ class TestCertification:
         lines = run_script(PREMATURE_OPTIMUM, "-O")
         assert lines == ["optimize 1", "clean 14/5", "rejected negative reduced cost away from upper bound"]
 
-    def test_perturbed_restored_phase1_is_rejected_under_optimize(self):
-        lines = run_script(PERTURBED_RESTORE, "-O")
-        assert lines[:3] == ["optimize 1", "cold 2", "restored 2"]
-        assert lines[3].startswith("rejected ")
+    def test_perturbed_right_side_is_rejected_under_optimize(self):
+        lines = run_script(PERTURBED_RIGHT_SIDE, "-O")
+        assert lines == ["optimize 1", "clean 3/16", "rejected row violation in optimal witness"]
 
     def test_callers_reject_non_optimal_lps_under_optimize(self):
         lines = run_script(NON_OPTIMAL_LP, "-O")

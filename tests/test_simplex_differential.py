@@ -10,7 +10,6 @@ through the oracle's own state, that a row was really dropped.
 from __future__ import annotations
 
 from fractions import Fraction
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +20,6 @@ from weakstar.numerics import (
     BoundedInfeasible,
     BoundedOptimal,
     BoundedUnbounded,
-    _Simplex,
-    shared_phase1,
     solve_bounded,
 )
 
@@ -68,25 +65,6 @@ def assert_same_outcome(variables, objective, rows, lower=None, upper=None, sens
 def test_engines_agree_on_random_bounded_lps(lp):
     variables, objective, rows, lower, upper, sense = lp
     assert_same_outcome(variables, objective, rows, lower, upper, sense)
-
-
-@settings(max_examples=200, deadline=None)
-@given(bounded_lps(), st.lists(st.lists(sparse_coef, min_size=6, max_size=6), min_size=2, max_size=4))
-def test_shared_phase1_matches_cold_solves(lp, extra):
-    # One program under several objectives inside the scope: each outcome must
-    # be the oracle's cold solve, and after a feasible first call phase 1 must
-    # not run again.  A call whose bounds differ must run its own phase 1.
-    variables, objective, rows, lower, upper, sense = lp
-    objectives = [objective] + [dict(zip(variables, coefs)) for coefs in extra]
-    first = variables[0]
-    widened = {**upper, first: upper.get(first, lower[first]) + 1}
-    phase1 = _Simplex._phase1
-    with mock.patch.object(_Simplex, "_phase1", autospec=True, side_effect=phase1) as spy, shared_phase1():
-        outcomes = [assert_same_outcome(variables, c, rows, lower, upper, sense) for c in objectives]
-        runs = len(objectives) if isinstance(outcomes[0], BoundedInfeasible) else 1
-        assert spy.call_count == runs
-        assert_same_outcome(variables, objective, rows, lower, widened, sense)
-        assert spy.call_count == runs + 1
 
 
 def test_duplicate_row_is_dropped():
