@@ -42,7 +42,9 @@ CASES: dict[str, list[str]] = {
     "expose_triangle": ["expose", "inputs/triangle.json", "--approx"],
     "hull_cloud": ["hull", "inputs/cloud.json"],
     "hull_rays": ["hull", "inputs/rays.json"],
+    "hull_line": ["hull", "inputs/line.json"],
     "vertices_cloud": ["vertices", "inputs/cloud.json"],
+    "vertices_rays": ["vertices", "inputs/wedge.json"],
     "distance_full": ["distance", "inputs/square.json", "inputs/triangle.json"],
     "distance_radius": ["distance", "inputs/triangle.json", "inputs/square.json", "--radius", "2", "--approx"],
     "distance_direction": ["distance", "inputs/square.json", "inputs/cloud.json", "--direction", "0:1,1:-1/2"],
