@@ -4,7 +4,10 @@ Sets of summable sequences are represented by finitely many generators: a
 ``PointSet`` is just finitely many points, a ``Polyhedron`` is the closed
 convex hull of its vertices swept along its recession rays.  Every geometric
 query (membership, redundancy, support values) reduces to a small exact LP on
-the generators, so no facet/H-representation is ever computed.
+the generators, so no facet/H-representation is ever computed.  Pruning a hull
+is output-sensitive: each vertex is tested only against the extreme points
+found so far, and when the test fails, its Farkas functional, checked exactly
+to separate, is maximized to find the next one.
 
 ``PolarSpec`` pins down the concrete model: test functionals live in the
 finitely supported sup-norm space, dual points in l1, and the polar of the
@@ -16,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import BadParameter, CertificateError, UnboundedInput
 from .numerics import (
+    BoundedInfeasible,
     BoundedOptimal,
     RationalLike,
     SparseVec,
@@ -159,23 +163,25 @@ def _generators(body: SetLike) -> tuple[tuple[SparseVec, ...], tuple[SparseVec, 
 
 
 def _combination_feasible(
-    target: SparseVec,
-    points: Sequence[SparseVec],
-    rays: Sequence[SparseVec],
-    *,
-    affine: bool,
-) -> bool:
-    """Is target = sum a_i p_i + sum b_j r_j with a, b >= 0 (and sum a = 1 if affine)?"""
+    target: SparseVec, points: Sequence[SparseVec], rays: Sequence[SparseVec]
+) -> SparseVec | None:
+    """``None`` when target = sum a_i p_i + sum b_j r_j with a, b >= 0 and sum a = 1.
+
+    With no points the target is tested against the cone of the rays alone.
+    Otherwise returns a functional ``c`` separating the target: ``c . target``
+    exceeds ``c . p`` for every point (exceeds 0 when there are none) and
+    ``c . r <= 0`` on every ray.  ``c`` is read off the Farkas multipliers on the
+    coordinate rows and checked exactly before it is returned.
+    """
     coords: set[int] = set(target.support)
-    for g in points:
+    for g in (*points, *rays):
         coords.update(g.support)
-    for g in rays:
-        coords.update(g.support)
+    ks = sorted(coords)
     variables = [("a", i) for i in range(len(points))] + [("b", j) for j in range(len(rays))]
     rows: list = []
-    if affine:
+    if points:
         rows.append(({("a", i): Fraction(1) for i in range(len(points))}, "=", Fraction(1)))
-    for k in sorted(coords):
+    for k in ks:
         coeffs: dict = {}
         for i, g in enumerate(points):
             v = g.get(k)
@@ -187,7 +193,15 @@ def _combination_feasible(
                 coeffs[("b", j)] = v
         rows.append((coeffs, "=", target.get(k)))
     out = solve_bounded(variables, {}, rows, sense="min")
-    return isinstance(out, BoundedOptimal)
+    if isinstance(out, BoundedOptimal):
+        return None
+    if not isinstance(out, BoundedInfeasible) or len(out.row_multipliers) != len(rows):
+        raise CertificateError(f"combination LP gave {type(out).__name__} without a Farkas certificate")
+    c = SparseVec(zip(ks, out.row_multipliers[len(rows) - len(ks) :]))
+    level = pair(c, target)
+    if any(pair(c, p) >= level for p in points or [SparseVec.zero()]) or any(pair(c, r) > 0 for r in rays):
+        raise CertificateError("combination LP's Farkas functional does not separate the target")
+    return c
 
 
 def max_gap_functional(
@@ -225,19 +239,56 @@ def membership(sigma: SparseVec, body: SetLike) -> bool:
     points, rays = _generators(body)
     if isinstance(body, PointSet):
         return sigma in points
-    return _combination_feasible(sigma, points, rays, affine=True)
+    return _combination_feasible(sigma, points, rays) is None
 
 
 def _prune_vertices(vertices: Sequence[SparseVec], rays: Sequence[SparseVec]) -> tuple[SparseVec, ...]:
-    keep = list(vertices)
-    i = 0
-    while i < len(keep):
-        rest = keep[:i] + keep[i + 1 :]
-        if rest and _combination_feasible(keep[i], rest, rays, affine=True):
-            del keep[i]
-        else:
-            i += 1
-    return tuple(keep)
+    """The vertices that the other generators cannot replace, in input order.
+
+    Clarkson's output-sensitive pruning: a vertex is tested only against the
+    extreme points found so far and the rays.  Inside their hull it is
+    redundant.  Outside, the separating functional ``c`` of the test (``0`` in
+    the first round) is maximized over the undecided vertices.  If every ray
+    descends strictly along ``c``, the maximizers span a bounded face and their
+    lexicographic maximum is a new extreme point.  Otherwise the face may hold
+    a line, so the maximizers are tested in input order against the later ones
+    and the face's rays, as the quadratic loop did: the redundant ones are
+    dropped and the first that is not is kept, so of vertices that differ along
+    a line the last is kept.  Vertices must be distinct.
+    """
+    dims = sorted({k for v in vertices for k in v.support})
+    # Each vertex as integer numerators over one denominator, so that a scan of
+    # the levels of ``c`` forms one Fraction per vertex.
+    grid = []
+    for v in vertices:
+        den = lcm(*(q.denominator for _, q in v.items()))
+        grid.append(([(k, q.numerator * (den // q.denominator)) for k, q in v.items()], den))
+    pending = dict.fromkeys(range(len(vertices)))
+    found: list[SparseVec] = []
+    for i in range(len(vertices)):
+        while i in pending:
+            c = _combination_feasible(vertices[i], found, rays) if found else SparseVec.zero()
+            if c is None:
+                del pending[i]
+                continue
+            scale = lcm(*(q.denominator for _, q in c.items()))
+            ci = {k: q.numerator * (scale // q.denominator) for k, q in c.items()}
+            level = {j: Fraction(sum(ci.get(k, 0) * x for k, x in grid[j][0]), grid[j][1]) for j in pending}
+            top = max(level.values())
+            tied = [j for j, value in level.items() if value == top]
+            face_rays = [r for r in rays if not pair(c, r)]
+            if face_rays:
+                while len(tied) > 1 and _combination_feasible(
+                    vertices[tied[0]], [vertices[j] for j in tied[1:]], face_rays
+                ) is None:
+                    del pending[tied.pop(0)]
+                m = tied[0]
+            else:
+                m = max(tied, key=lambda j: [vertices[j].get(k) for k in dims])
+            del pending[m]
+            found.append(vertices[m])
+    kept = set(found)
+    return tuple(v for v in vertices if v in kept)
 
 
 def _prune_rays(rays: Sequence[SparseVec]) -> tuple[SparseVec, ...]:
@@ -253,7 +304,7 @@ def _prune_rays(rays: Sequence[SparseVec]) -> tuple[SparseVec, ...]:
     i = 0
     while i < len(keep):
         rest = keep[:i] + keep[i + 1 :]
-        if rest and _combination_feasible(keep[i], [], rest, affine=False):
+        if rest and _combination_feasible(keep[i], [], rest) is None:
             del keep[i]
         else:
             i += 1

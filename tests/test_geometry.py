@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _prune_oracle import _prune_vertices as oracle_prune
+from weakstar import geometry
 from weakstar.errors import BadParameter, UnboundedInput
 from weakstar.geometry import (
     FinitePoints,
@@ -21,6 +23,7 @@ from weakstar.geometry import (
     scalar_image,
     support_value,
 )
+from weakstar.geometry import _prune_rays, _prune_vertices
 from weakstar.numerics import SparseVec, pair
 
 F = Fraction
@@ -332,3 +335,104 @@ class TestHullLaws:
         big_hull = closed_convex_hull(big)
         for v in closed_convex_hull(small).vertices:
             assert membership(v, big_hull)
+
+
+# -- output-sensitive pruning against the frozen quadratic loop ---------------
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# Integer coordinates make ties on separating functionals common.
+GRID = st.integers(min_value=-2, max_value=2).map(F)
+WEIGHT = st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4)
+
+
+@st.composite
+def pruning_inputs(draw):
+    """A polyhedron with distinct vertices, as every constructor leaves them.
+
+    Besides drawn vertices it holds interior, collinear and coplanar points,
+    and rays that are positive multiples or cone combinations of other rays,
+    opposite to another ray (a line) or orthogonal to a vertex difference.
+    """
+    dim = draw(st.integers(min_value=1, max_value=3))
+    values = draw(st.sampled_from([SMALL, GRID]))
+    vectors = st.lists(values, min_size=dim, max_size=dim).map(lambda xs: SparseVec(enumerate(xs)))
+    points = draw(st.lists(vectors, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        p, q, r = (draw(st.sampled_from(points)) for _ in range(3))
+        s, t = draw(st.fractions(min_value=-1, max_value=2, max_denominator=3)), draw(WEIGHT)
+        kind = draw(st.sampled_from(["interior", "collinear", "coplanar"]))
+        if kind == "interior":
+            points.append((p + q.scale(t) + r.scale(t * t)).scale(1 / (1 + t + t * t)))
+        elif kind == "collinear":
+            points.append(p + (q - p).scale(s))
+        else:
+            points.append(p + (q - p).scale(s) + (r - p).scale(t))
+    if dim > 1 and draw(st.booleans()):
+        points = [SparseVec({k: v for k, v in x.items() if k != dim - 1}) for x in points]
+    rays = draw(st.lists(vectors, max_size=2))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(["multiple", "cone", "opposite", "orthogonal"]))
+        if kind == "orthogonal" and dim > 1:
+            v = draw(st.sampled_from(points)) - draw(st.sampled_from(points))
+            a, b = draw(st.permutations(range(dim)))[:2]
+            rays.append(SparseVec({a: v.get(b), b: -v.get(a)}))
+        elif rays and kind == "multiple":
+            rays.append(draw(st.sampled_from(rays)).scale(draw(WEIGHT)))
+        elif rays and kind == "cone":
+            rays.append(draw(st.sampled_from(rays)).scale(draw(WEIGHT)) + draw(st.sampled_from(rays)))
+        elif rays:
+            rays.append(-draw(st.sampled_from(rays)))
+    return Polyhedron(points, [r for r in rays if r])
+
+
+class TestPruneDifferential:
+    @given(body=pruning_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_pruning_matches_the_quadratic_oracle(self, body):
+        rays = _prune_rays(body.rays)
+        expected = oracle_prune(body.vertices, rays)
+        assert _prune_vertices(body.vertices, rays) == expected
+        hull = closed_convex_hull(body)
+        assert (hull.vertices, hull.rays) == (expected, rays)
+        assert irredundant_vertices(body).points == expected
+        if not rays:
+            assert closed_convex_hull(PointSet(body.vertices)).vertices == expected
+
+    def test_line_keeps_the_last_vertex_of_each_class(self):
+        # Vertices that differ by a multiple of the line E1 are one class.
+        body = Polyhedron([ZERO, pt(2, 3), pt(1), pt(0, -1), pt(2), pt(1, 1)], rays=[E1, -E1])
+        assert closed_convex_hull(body).vertices == (pt(0, -1), pt(2))
+        assert oracle_prune(body.vertices, body.rays) == (pt(0, -1), pt(2))
+
+    def test_tie_along_a_ray_keeps_the_face_vertex(self):
+        # c = (0, 1) ties pt(0, 1) and pt(3, 1) along the ray E0.
+        body = Polyhedron([pt(3, 1), ZERO, pt(0, 1), pt(1, F(1, 2))], rays=[E0])
+        assert closed_convex_hull(body).vertices == (ZERO, pt(0, 1))
+
+
+def _circle(count):
+    """``count`` rational points on the unit circle, by stereographic projection."""
+    out = []
+    for t in (F(k, 3) for k in range(-(count // 2), count - count // 2)):
+        out.append(pt((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)))
+    return out
+
+
+class TestOutputSensitivity:
+    @pytest.mark.parametrize("extreme", [3, 8, 12])
+    def test_lps_grow_with_the_extreme_points(self, monkeypatch, extreme):
+        corners = _circle(extreme)
+        inner = [(a + b.scale(2) + c).scale(F(1, 4)) for a, b, c in zip(corners, corners[1:], corners[2:])]
+        inner += [(a + b).scale(F(1, 2)) for a, b in zip(corners, corners[1:])]
+        cloud = inner[: len(inner) // 2] + corners + inner[len(inner) // 2 :]
+        real, columns = geometry.solve_bounded, []
+
+        def spy(variables, objective, rows, **kwargs):
+            columns.append(sum(1 for v in variables if v[0] == "a"))
+            return real(variables, objective, rows, **kwargs)
+
+        monkeypatch.setattr(geometry, "solve_bounded", spy)
+        hull = closed_convex_hull(PointSet(cloud))
+        assert set(hull.vertices) == set(corners)
+        assert len(columns) <= len(cloud) + extreme
+        assert max(columns) <= extreme

@@ -491,6 +491,40 @@ expect_rejected("point_body_distance", lambda: point_body_distance(e1, segment))
 """
 
 
+# Vertex pruning reads a separating functional off the Farkas multipliers of a
+# failed combination LP.  With every certificate negated, the functional
+# points the wrong way, and closed_convex_hull must reject it in every
+# interpreter mode rather than prune with it.
+NON_SEPARATING_FUNCTIONAL = """
+import sys
+from fractions import Fraction as F
+from weakstar import geometry
+from weakstar.errors import CertificateError
+from weakstar.geometry import PointSet, closed_convex_hull
+from weakstar.numerics import BoundedInfeasible, SparseVec
+
+solve = geometry.solve_bounded
+
+def negated(*args, **kwargs):
+    out = solve(*args, **kwargs)
+    if isinstance(out, BoundedInfeasible):
+        return BoundedInfeasible([-y for y in out.row_multipliers])
+    return out
+
+e0, e1 = SparseVec({0: 1}), SparseVec({1: 1})
+square = PointSet([SparseVec.zero(), e0, e1, e0 + e1, (e0 + e1).scale(F(1, 2))])
+print("optimize", sys.flags.optimize)
+print("clean", len(closed_convex_hull(square).vertices))
+geometry.solve_bounded = negated
+try:
+    closed_convex_hull(square)
+except CertificateError as exc:
+    print("rejected", exc)
+else:
+    print("accepted")
+"""
+
+
 def run_script(script, *flags):
     src = str(Path(numerics.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
@@ -518,6 +552,15 @@ class TestCertification:
     def test_perturbed_right_side_is_rejected_under_optimize(self):
         lines = run_script(PERTURBED_RIGHT_SIDE, "-O")
         assert lines == ["optimize 1", "clean 3/16", "rejected row violation in optimal witness"]
+
+    @pytest.mark.parametrize("flags", [("-O",), ()])
+    def test_non_separating_functional_is_rejected(self, flags):
+        lines = run_script(NON_SEPARATING_FUNCTIONAL, *flags)
+        assert lines == [
+            f"optimize {len(flags)}",
+            "clean 4",
+            "rejected combination LP's Farkas functional does not separate the target",
+        ]
 
     def test_callers_reject_non_optimal_lps_under_optimize(self):
         lines = run_script(NON_OPTIMAL_LP, "-O")
