@@ -21,7 +21,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 from pathlib import Path
@@ -47,7 +46,6 @@ from .numerics import SparseVec, as_rational, rational_to_str
 from .poulsen import Variant, construct, jordan_decompose, verify_trace
 
 __all__ = [
-    "RunManifest",
     "load_set",
     "load_vector",
     "parse_functional",
@@ -187,47 +185,23 @@ def render_document(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunManifest:
+def _manifest(args: argparse.Namespace, inputs: list[str], config: dict) -> dict:
     """What was run, on which files, under which configuration.
 
     Built only after every referenced input file has been read and parsed, and
     echoed into every artifact the run emits.
     """
-
-    command: str
-    inputs: tuple[str, ...]
-    config: tuple[tuple[str, object], ...]
-    output_dir: Optional[str]
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": list(self.inputs),
-            "config": dict(self.config),
-            "output_dir": self.output_dir,
-        }
-
-
-def _manifest(args: argparse.Namespace, inputs: list[str], config: dict) -> RunManifest:
-    out = getattr(args, "out", None)
-    if getattr(args, "approx", False):
+    if args.approx:
         config = {**config, "approx": True}
-    return RunManifest(
-        command=args.command,
-        inputs=tuple(inputs),
-        config=tuple(sorted(config.items())),
-        output_dir=out,
-    )
+    return {"command": args.command, "inputs": list(inputs), "config": config, "output_dir": args.out}
 
 
-def _emit(args: argparse.Namespace, manifest: RunManifest, name: str, payload: dict) -> None:
-    out = getattr(args, "out", None)
-    if out is None:
+def _emit(args: argparse.Namespace, manifest: dict, name: str, payload: dict) -> None:
+    if args.out is None:
         return
-    directory = Path(out)
+    directory = Path(args.out)
     directory.mkdir(parents=True, exist_ok=True)
-    document = {"manifest": manifest.as_dict(), **payload}
+    document = {"manifest": manifest, **payload}
     (directory / name).write_text(render_document(document))
 
 
@@ -288,7 +262,7 @@ def approx_text(value: Union[Fraction, float]) -> str:
 
 
 def _print_approx(args: argparse.Namespace, label: str, value: Union[Fraction, float]) -> None:
-    if getattr(args, "approx", False):
+    if args.approx:
         print(f"approx {label} (non-authoritative): {approx_text(value)}")
 
 

@@ -178,20 +178,14 @@ def _combination_feasible(
         coords.update(g.support)
     ks = sorted(coords)
     variables = [("a", i) for i in range(len(points))] + [("b", j) for j in range(len(rays))]
+    coeffs: dict[int, dict] = {k: {} for k in ks}
+    for column, g in zip(variables, (*points, *rays)):
+        for k, v in g.items():
+            coeffs[k][column] = v
     rows: list = []
     if points:
         rows.append(({("a", i): Fraction(1) for i in range(len(points))}, "=", Fraction(1)))
-    for k in ks:
-        coeffs: dict = {}
-        for i, g in enumerate(points):
-            v = g.get(k)
-            if v:
-                coeffs[("a", i)] = v
-        for j, g in enumerate(rays):
-            v = g.get(k)
-            if v:
-                coeffs[("b", j)] = v
-        rows.append((coeffs, "=", target.get(k)))
+    rows += [(coeffs[k], "=", target.get(k)) for k in ks]
     out = solve_bounded(variables, {}, rows, sense="min")
     if isinstance(out, BoundedOptimal):
         return None
@@ -223,11 +217,11 @@ def max_gap_functional(
     upper = {("a", k): Fraction(1) for k in ks}
     rows = []
     for w in others:
-        coeffs = {("a", k): target.get(k) - w.get(k) for k in ks}
+        coeffs = {("a", k): v for k, v in (target - w).items()}
         coeffs[("gap",)] = Fraction(-1)
         rows.append((coeffs, ">=", Fraction(0)))
     for s in blocked:
-        rows.append(({("a", k): s.get(k) for k in ks}, "<=", Fraction(0)))
+        rows.append(({("a", k): v for k, v in s.items()}, "<=", Fraction(0)))
     out = solve_bounded(variables, {("gap",): Fraction(1)}, rows, lower=lower, upper=upper, sense="max")
     if not isinstance(out, BoundedOptimal) or not out.value > 0:
         raise CertificateError(f"largest-gap LP gave {type(out).__name__} without a positive gap")
@@ -235,11 +229,14 @@ def max_gap_functional(
 
 
 def membership(sigma: SparseVec, body: SetLike) -> bool:
-    """Exact test of sigma lying in the closed convex hull of the generators."""
-    points, rays = _generators(body)
+    """Exact test of sigma lying in the set.
+
+    A ``PointSet`` holds only its points, as its ``scalar_image`` does, so
+    sigma must be one of them; a ``Polyhedron`` holds its closed convex hull.
+    """
     if isinstance(body, PointSet):
-        return sigma in points
-    return _combination_feasible(sigma, points, rays) is None
+        return sigma in body.points
+    return _combination_feasible(sigma, body.vertices, body.rays) is None
 
 
 def _prune_vertices(vertices: Sequence[SparseVec], rays: Sequence[SparseVec]) -> tuple[SparseVec, ...]:

@@ -36,7 +36,6 @@ from typing import Callable, Optional, Sequence, Union
 from .errors import BadParameter, CertificateError, NotInNormalizingSet, UnboundedInput
 from .geometry import (
     FinitePoints,
-    Interval,
     PointSet,
     PolarSpec,
     Polyhedron,
@@ -157,63 +156,36 @@ class MetricConfig:
 # ---------------------------------------------------------------------------
 
 
-def _point_to_interval(x: Fraction, lo, hi) -> Distance:
-    below = (lo - x) if lo != -inf else Fraction(0)
-    above = (x - hi) if hi != inf else Fraction(0)
-    return max(below, above, Fraction(0))
+def _distance_to(y: Fraction, second: ScalarSet) -> Fraction:
+    """The distance from the rational ``y`` to a scalar set; an infinite end is never nearest."""
+    if isinstance(second, FinitePoints):
+        return min(abs(y - x) for x in second.values)
+    return max(second.lower - y, y - second.upper, Fraction(0))
 
 
-def _excess_interval_over_interval(a, b, c, d) -> Distance:
-    """sup over [a,b] of the distance to [c,d], with infinite-end conventions."""
-    if c == -inf:
-        low_gap: Distance = Fraction(0)
-    elif a == -inf:
-        low_gap = inf
+def _excess(first: ScalarSet, second: ScalarSet) -> Distance:
+    """sup over ``first`` of the distance to ``second``; +inf if only ``first`` is unbounded on a side.
+
+    The distance to ``second`` is piecewise linear, and its only interior
+    maxima are the midpoints between consecutive points of a finite ``second``.
+    """
+    if isinstance(first, FinitePoints):
+        return max(_distance_to(y, second) for y in first.values)
+    lo, hi = first.lower, first.upper
+    if isinstance(second, FinitePoints):
+        values = second.values
+        far_lo, far_hi = values[0], values[-1]
+        mids = [min(max((left + right) / 2, lo), hi) for left, right in zip(values, values[1:])]
     else:
-        low_gap = c - a
-    if d == inf:
-        high_gap: Distance = Fraction(0)
-    elif b == inf:
-        high_gap = inf
-    else:
-        high_gap = b - d
-    return max(low_gap, high_gap, Fraction(0))
-
-
-def _excess_points_over_interval(xs, lo, hi) -> Distance:
-    return max(_point_to_interval(x, lo, hi) for x in xs)
-
-
-def _excess_interval_over_points(a, b, xs) -> Distance:
-    if a == -inf or b == inf:
+        far_lo, far_hi, mids = second.lower, second.upper, []
+    if (lo == -inf and far_lo != -inf) or (hi == inf and far_hi != inf):
         return inf
-    # The distance-to-finite-set function is piecewise linear with breakpoints
-    # at midpoints of consecutive points; its max over [a,b] is attained at an
-    # interval end or a breakpoint inside.
-    candidates = [a, b]
-    for left, right in zip(xs, xs[1:]):
-        mid = (left + right) / 2
-        candidates.append(min(max(mid, a), b))
-    return max(min(abs(y - x) for x in xs) for y in candidates)
+    candidates = [end for end in (lo, hi) if end not in (-inf, inf)] + mids
+    return max((_distance_to(y, second) for y in candidates), default=Fraction(0))
 
 
 def _hausdorff_scalar(first: ScalarSet, second: ScalarSet) -> Distance:
-    if isinstance(first, FinitePoints) and isinstance(second, FinitePoints):
-        xs, ys = first.values, second.values
-        one = max(min(abs(x - y) for y in ys) for x in xs)
-        two = max(min(abs(x - y) for x in xs) for y in ys)
-        return max(one, two)
-    if isinstance(first, Interval) and isinstance(second, Interval):
-        one = _excess_interval_over_interval(first.lower, first.upper, second.lower, second.upper)
-        two = _excess_interval_over_interval(second.lower, second.upper, first.lower, first.upper)
-        return max(one, two)
-    if isinstance(first, FinitePoints):
-        points, interval = first, second
-    else:
-        points, interval = second, first
-    one = _excess_points_over_interval(points.values, interval.lower, interval.upper)
-    two = _excess_interval_over_points(interval.lower, interval.upper, points.values)
-    return max(one, two)
+    return max(_excess(first, second), _excess(second, first))
 
 
 def pseudometric_dH(first: SetLike, second: SetLike, functional: SparseVec) -> Distance:

@@ -587,11 +587,7 @@ class _Simplex:
     # -- driver --------------------------------------------------------------
 
     def run(self) -> BoundedOutcome:
-        infeasible = self._phase1()
-        return infeasible if infeasible is not None else self._phase2()
-
-    def _phase1(self) -> BoundedInfeasible | None:
-        """Build the tableau, drive the artificials to zero and evict them."""
+        """Build the tableau, drive the artificials to zero and evict them, then optimize ``cost``."""
         self._build_tableau()
         phase1_cost = [Fraction(0)] * self.ncols
         for j in range(self.first_art, self.ncols):
@@ -606,10 +602,11 @@ class _Simplex:
         if infeas > 0:
             return self._extract_infeasible()
         self._evict_artificials()
-        return None
 
-    def _phase2(self) -> BoundedOutcome:
-        self._phase2_costs()
+        col_cost = [Fraction(0)] * self.ncols
+        for j in range(self.nstruct):
+            col_cost[j] = -self.cost[j] if self.flipped[j] else self.cost[j]
+        self._reduced_costs(col_cost)
         enter = self._iterate(allow_artificials=False)
         if enter is not None:
             return self._extract_ray(enter)
@@ -619,12 +616,6 @@ class _Simplex:
         self._check_optimal_bound(values)
         raw = sum((c * x for c, x in zip(self.cost, values) if c), Fraction(0))
         return BoundedOptimal(-raw if self.sense == "max" else raw, dict(zip(self.varkeys, values)))
-
-    def _phase2_costs(self):
-        col_cost = [Fraction(0)] * self.ncols
-        for j in range(self.nstruct):
-            col_cost[j] = -self.cost[j] if self.flipped[j] else self.cost[j]
-        self._reduced_costs(col_cost)
 
     def _evict_artificials(self):
         """Pivot residual zero-level artificials out of the basis; drop redundant rows."""

@@ -154,6 +154,15 @@ class TestMembership:
         assert membership(E0.scale(5), horn)
         assert not membership(E0.scale(-1), horn)
 
+    def test_point_set_membership_is_literal(self):
+        # A PointSet holds only its points, as its scalar image does; the
+        # Polyhedron on the same points also holds the segment between them.
+        a, b = pt(0, 0), pt(2, 1)
+        midpoint = pt(1, F(1, 2))
+        assert membership(a, PointSet([a, b]))
+        assert not membership(midpoint, PointSet([a, b]))
+        assert membership(midpoint, Polyhedron([a, b]))
+
     @given(
         coords=st.lists(
             st.tuples(

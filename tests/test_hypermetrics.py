@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _fraction_simplex_oracle import solve_bounded as oracle_solve
+from _scalar_oracle import _hausdorff_scalar as oracle_scalar
 from weakstar import hypermetrics
 from weakstar.errors import BadParameter, NotInNormalizingSet, UnboundedInput
 from weakstar.geometry import (
+    FinitePoints,
+    Interval,
     PointSet,
     PolarSpec,
     Polyhedron,
@@ -184,6 +187,28 @@ class TestPseudometric:
             for l2 in lams:
                 d = pseudometric_dH(path_combine(l1, p, q), path_combine(l2, p, q), a)
                 assert d <= abs(l2 - l1) * bound
+
+
+scalars = st.fractions(min_value=-8, max_value=8, max_denominator=4)
+
+
+@st.composite
+def scalar_sets(draw):
+    """A finite scalar set, or an interval whose ends may be infinite on either side."""
+    if draw(st.booleans()):
+        return FinitePoints(draw(st.lists(scalars, min_size=1, max_size=5)))
+    lo, hi = sorted(draw(st.lists(scalars, min_size=2, max_size=2)))
+    return Interval(-inf if draw(st.booleans()) else lo, inf if draw(st.booleans()) else hi)
+
+
+class TestScalarDifferential:
+    @given(first=scalar_sets(), second=scalar_sets())
+    @settings(max_examples=400, deadline=None)
+    def test_excess_rule_matches_the_case_helpers(self, first, second):
+        got = hypermetrics._hausdorff_scalar(first, second)
+        expected = oracle_scalar(first, second)
+        assert got == expected
+        assert type(got) is type(expected)
 
 
 class TestMetricD:

@@ -1,5 +1,8 @@
 """The package root re-exports exactly each module's ``__all__``, in module order."""
 
+import ast
+from pathlib import Path
+
 import weakstar
 from weakstar import errors, faces, geometry, hypermetrics, limits, numerics, poulsen
 
@@ -44,3 +47,13 @@ def test_unneeded_names_are_not_exported():
     for name in UNEXPORTED - {"Rational"}:
         assert any(hasattr(module, name) for module in MODULES), name
     assert not hasattr(numerics, "Rational")
+
+
+def test_no_assert_in_the_package():
+    # The certificate checks must hold under ``python -O``, which strips asserts.
+    sources = sorted(Path(weakstar.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} uses assert on lines {lines}"
