@@ -131,7 +131,7 @@ class FinitePoints:
 
 @dataclass(frozen=True)
 class Interval:
-    """A closed scalar interval; either end may be infinite."""
+    """A nonempty closed scalar interval; the lower end may be ``-inf``, the upper ``inf``."""
 
     lower: Union[Fraction, float]
     upper: Union[Fraction, float]
@@ -145,8 +145,8 @@ class Interval:
             return as_rational(value)
 
         lo, hi = end(lower), end(upper)
-        if not lo <= hi:
-            raise BadParameter(f"empty interval [{lo}, {hi}]")
+        if not lo <= hi or lo == inf or hi == -inf:
+            raise BadParameter(f"[{lo}, {hi}] is not a nonempty interval of real numbers")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -206,7 +206,8 @@ def max_gap_functional(
     Maximizes ``gap`` subject to ``a . (target - w) >= gap`` for each ``w`` in
     ``others`` and ``a . s <= 0`` for each ``s`` in ``blocked``.  Gives exposure
     margins, separating functionals and, with ``others`` the origin, escape
-    directions.  Returns ``(a, gap)``; the gap must be positive.
+    directions.  ``others`` must be nonempty, since its rows bound the gap.
+    Returns ``(a, gap)``; the gap must be positive.
     """
     coords: set[int] = set(target.support)
     for g in (*others, *blocked):

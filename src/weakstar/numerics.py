@@ -4,12 +4,14 @@ Everything downstream (hulls, metrics, certificates) reduces to questions about
 finitely supported rational vectors and small linear programs.  Scalars are
 ``fractions.Fraction`` throughout; nothing in this package ever rounds.  The
 only non-rational value that appears anywhere is ``math.inf``, used as a
-first-class "infinite distance / unbounded objective" marker, never as an
-approximation of a finite number.
+first-class "infinite distance" marker, never as an approximation of a finite
+number.
 
 ``solve_bounded`` is the one linear-program entry point: ordered variables with
 finite lower and optional upper bounds (a caller splits a free variable into a
-nonnegative pair) and rows with ``<=``, ``=`` or ``>=``.
+nonnegative pair) and rows with ``<=``, ``=`` or ``>=``.  The objective must be
+bounded on the feasible set, as in every program this package builds; an
+unbounded one raises ``ValueError``.
 
 The solver is a two-phase primal simplex with Bland's anti-cycling rule.
 Bounds are handled implicitly (bound substitution) instead of as explicit
@@ -53,7 +55,6 @@ __all__ = [
     "l1_norm",
     "solve_bounded",
     "BoundedOptimal",
-    "BoundedUnbounded",
     "BoundedInfeasible",
     "rational_to_str",
 ]
@@ -235,11 +236,6 @@ class BoundedOptimal:
 
 
 @dataclass(frozen=True)
-class BoundedUnbounded:
-    ray: dict[Hashable, Fraction]
-
-
-@dataclass(frozen=True)
 class BoundedInfeasible:
     """Row multipliers ``y`` proving infeasibility (a Farkas certificate).
 
@@ -251,7 +247,7 @@ class BoundedInfeasible:
     row_multipliers: list[Fraction]
 
 
-BoundedOutcome = Union[BoundedOptimal, BoundedUnbounded, BoundedInfeasible]
+BoundedOutcome = Union[BoundedOptimal, BoundedInfeasible]
 
 BoundedRow = tuple[Mapping[Hashable, Fraction], str, Fraction]
 
@@ -267,9 +263,10 @@ def solve_bounded(
 ) -> BoundedOutcome:
     """Exact simplex over ``lower <= x <= upper`` (lower defaults to 0, upper to +inf).
 
-    Returns an optimal assignment, an improving ray, or row multipliers
-    proving infeasibility (see ``BoundedInfeasible``).  All three are
-    re-checked exactly before returning.
+    Returns an optimal assignment or row multipliers proving infeasibility
+    (see ``BoundedInfeasible``); both are re-checked exactly before
+    returning.  The objective must be bounded on the feasible set: an
+    unbounded program raises ``ValueError``.
     """
     return _Simplex(variables, objective, rows, lower or {}, upper or {}, sense).run()
 
@@ -498,7 +495,7 @@ class _Simplex:
         self.flipped[var] = not self.flipped[var]
 
     def _iterate(self, allow_artificials: bool) -> int | None:
-        """Run Bland pivots until optimal (returns None) or unbounded (entering col).
+        """Run Bland pivots; return None at an optimum, else the entering column no row blocks.
 
         Step lengths are compared as integer pairs ``num / den`` with ``den > 0``
         by cross-multiplication, so every comparison is the exact rational one.
@@ -553,7 +550,7 @@ class _Simplex:
                 if better:
                     best_n, best_d, best_kind, best_row, best_var = tn, td, kind, i, bvar
             if best_n is None:
-                return enter  # genuinely unbounded direction
+                return enter
             if best_kind == "flip":
                 self._flip_nonbasic(enter)
             else:
@@ -609,7 +606,8 @@ class _Simplex:
         self._reduced_costs(col_cost)
         enter = self._iterate(allow_artificials=False)
         if enter is not None:
-            return self._extract_ray(enter)
+            column = repr(self.varkeys[enter]) if enter < self.nstruct else f"slack column {enter}"
+            raise ValueError(f"the objective is unbounded: it improves without limit along {column}")
 
         values = self._structural_values()
         self._check_feasible_point(values)
@@ -649,15 +647,6 @@ class _Simplex:
         self._check_infeasibility(mult)
         return BoundedInfeasible(mult)
 
-    def _extract_ray(self, enter: int) -> BoundedUnbounded:
-        delta = [Fraction(0)] * self.ncols
-        delta[enter] = Fraction(1)
-        for i in self.live_rows:
-            delta[self.basis[i]] = Fraction(-self.T[i][enter], self.den[i])
-        ray = [-delta[j] if self.flipped[j] else delta[j] for j in range(self.nstruct)]
-        self._check_ray(ray)
-        return BoundedUnbounded({self.varkeys[j]: r for j, r in enumerate(ray) if r})
-
     # -- exact self-checks on the caller's rows ------------------------------
 
     def _check_feasible_point(self, values: Sequence[Fraction]):
@@ -668,26 +657,6 @@ class _Simplex:
             lhs = _dot(coeffs, values)
             if (rel == LE and lhs > rhs) or (rel == GE and lhs < rhs) or (rel == EQ and lhs != rhs):
                 raise CertificateError("row violation in optimal witness")
-
-    def _check_ray(self, ray: Sequence[Fraction]):
-        if not any(ray):
-            raise CertificateError("zero ray")
-        for j, r in enumerate(ray):
-            # Lower bounds are always finite here, so rays never point down.
-            if r < 0:
-                raise CertificateError("ray moves a lower-bounded variable down")
-            if r > 0 and self.upp[j] is not None:
-                raise CertificateError("ray moves an upper-bounded variable up")
-        if not sum((c * r for c, r in zip(self.cost, ray) if c), Fraction(0)) < 0:
-            raise CertificateError("ray does not improve the internal minimization")
-        for coeffs, rel, _ in self.caller_rows:
-            drift = _dot(coeffs, ray)
-            if rel == LE and drift > 0:
-                raise CertificateError("ray escapes a <= row")
-            if rel == GE and drift < 0:
-                raise CertificateError("ray escapes a >= row")
-            if rel == EQ and drift != 0:
-                raise CertificateError("ray escapes an = row")
 
     def _check_optimal_bound(self, values: Sequence[Fraction]):
         """Certify optimality with an exact dual solution of the caller's program.

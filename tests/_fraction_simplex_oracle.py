@@ -4,12 +4,15 @@ This is the bounded-variable simplex ``weakstar.numerics`` shipped before its
 tableau moved to integer rows over a shared denominator, copied verbatim
 (``_Simplex`` and ``solve_bounded``).  ``test_simplex_differential.py``
 requires the current engine to return exactly what this one returns on random
-bounded LPs.  The next change that touches the simplex engine deletes this
-file together with that test.
+bounded LPs, and to raise ``ValueError`` exactly where this one returns an
+unbounded ray.  It stays the reference for the engine it replaced, and its
+logic does not change; ``BoundedUnbounded``, which the current engine no
+longer has, is a verbatim copy of the class it used to import.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
 
@@ -22,9 +25,13 @@ from weakstar.numerics import (
     BoundedOptimal,
     BoundedOutcome,
     BoundedRow,
-    BoundedUnbounded,
     as_rational,
 )
+
+
+@dataclass(frozen=True)
+class BoundedUnbounded:
+    ray: dict[Hashable, Fraction]
 
 
 def solve_bounded(

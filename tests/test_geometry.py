@@ -93,6 +93,15 @@ class TestTypes:
         i = Interval(-inf, F(2))
         assert i.lower == -inf and i.upper == 2
 
+    @pytest.mark.parametrize("end", [inf, -inf])
+    def test_interval_at_one_infinity_is_refused(self, end):
+        # Neither [inf, inf] nor [-inf, -inf] holds a real number; infinite
+        # ends around a real number stay accepted.
+        with pytest.raises(BadParameter):
+            Interval(end, end)
+        line, ray = Interval(-inf, inf), Interval(0, inf)
+        assert (line.lower, line.upper, ray.lower, ray.upper) == (-inf, inf, 0, inf)
+
 
 class TestHull:
     def test_middle_point_redundant(self):

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _fraction_simplex_oracle import BoundedUnbounded as OracleUnbounded
+from _fraction_simplex_oracle import solve_bounded as oracle_solve
 from weakstar import numerics
 from weakstar.errors import CertificateError, ParseError, PreconditionError, WeakstarError
 from weakstar.numerics import (
     BoundedInfeasible,
     BoundedOptimal,
-    BoundedUnbounded,
     SparseVec,
     as_rational,
     l1_norm,
@@ -140,7 +141,11 @@ def dot(coeffs, x):
 
 
 def check_outcome(variables, objective, rows, out, *, lower=None, upper=None, sense="max"):
-    """Re-check an outcome against the problem data, independently of the engine."""
+    """Re-check an outcome against the problem data, independently of the engine.
+
+    The engine has no ray outcome; a ray comes from the frozen oracle, for a
+    program the engine refuses as unbounded.
+    """
     lower, upper = lower or {}, upper or {}
 
     def holds(lhs, rel, rhs):
@@ -151,7 +156,7 @@ def check_outcome(variables, objective, rows, out, *, lower=None, upper=None, se
         assert all(lower.get(v, 0) <= x[v] and (v not in upper or x[v] <= upper[v]) for v in variables)
         assert all(holds(dot(coeffs, x), rel, rhs) for coeffs, rel, rhs in rows)
         assert dot(objective, x) == out.value
-    elif isinstance(out, BoundedUnbounded):
+    elif isinstance(out, OracleUnbounded):
         ray = out.ray
         assert ray and all(ray.get(v, 0) >= 0 and (v not in upper or ray.get(v, 0) == 0) for v in variables)
         assert all(holds(dot(coeffs, ray), rel, 0) for coeffs, rel, _ in rows)
@@ -188,9 +193,13 @@ class TestLpSolve:
         assert out == BoundedOptimal(F(3), {0: F(3)})
 
     def test_unbounded_direction(self):
-        out = solve_bounded([0], {0: F(1)}, [({0: F(1)}, ">=", F(0))], sense="max")
-        assert isinstance(out, BoundedUnbounded)
-        assert dot({0: F(1)}, out.ray) > 0
+        # The surplus of the only row enters; the message must not name it
+        # as one of the caller's variables.
+        problem = ([0], {0: F(1)}, [({0: F(1)}, ">=", F(0))])
+        with pytest.raises(ValueError, match="unbounded.*slack column 1"):
+            solve_bounded(*problem, sense="max")
+        ray = oracle_solve(*problem, sense="max").ray
+        assert dot({0: F(1)}, ray) > 0
 
     def test_triangle(self):
         rows = [({0: F(1)}, ">=", F(0)), ({1: F(1)}, ">=", F(0)), ({0: F(1), 1: F(1)}, "<=", F(1))]
@@ -290,8 +299,10 @@ class TestSolveBounded:
         assert hasattr(out, "row_multipliers")
 
     def test_unbounded_reports_ray(self):
-        out = solve_bounded(["a", "b"], {"a": F(1)}, [({"b": F(1)}, "<=", F(1))], sense="max")
-        assert out.ray == {"a": F(1)}
+        problem = (["a", "b"], {"a": F(1)}, [({"b": F(1)}, "<=", F(1))])
+        with pytest.raises(ValueError, match="unbounded.*'a'"):
+            solve_bounded(*problem, sense="max")
+        assert oracle_solve(*problem, sense="max").ray == {"a": F(1)}
 
     def test_equality_negative_rhs(self):
         out = solve_bounded(
@@ -350,11 +361,16 @@ def test_simplex_lp_against_max_coefficient(c, total):
 @settings(max_examples=60, deadline=None)
 def test_fuzz_outcomes_always_verify(seedrows):
     # Random rows through the origin-feasible halfspace family over three free
-    # variables; whatever the outcome, it must re-check against the rows.
+    # variables; whatever the outcome, it must re-check against the rows.  An
+    # unbounded program raises, and the frozen oracle's ray must then verify.
     variables = [(sign, i) for i in range(3) for sign in "+-"]
     objective = split({0: F(1), 1: F(-1), 2: F(1, 3)})
     rows = [(split(dict(enumerate(coeffs))), "<=", abs(rhs)) for coeffs, rhs in seedrows]
-    out = solve_bounded(variables, objective, rows, sense="max")
+    try:
+        out = solve_bounded(variables, objective, rows, sense="max")
+    except ValueError:
+        out = oracle_solve(variables, objective, rows, sense="max")
+        assert isinstance(out, OracleUnbounded)
     check_outcome(variables, objective, rows, out)
     assert not isinstance(out, BoundedInfeasible)  # the origin is always feasible
 

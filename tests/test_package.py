@@ -49,6 +49,13 @@ def test_unneeded_names_are_not_exported():
     assert not hasattr(numerics, "Rational")
 
 
+def test_unbounded_outcome_is_gone():
+    # Every program the package builds has a bounded objective, so the engine
+    # has no ray outcome; an unbounded program raises ``ValueError``.
+    assert "BoundedUnbounded" not in weakstar.__all__
+    assert not hasattr(numerics, "BoundedUnbounded")
+
+
 def test_no_assert_in_the_package():
     # The certificate checks must hold under ``python -O``, which strips asserts.
     sources = sorted(Path(weakstar.__file__).parent.glob("*.py"))

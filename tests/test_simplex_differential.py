@@ -2,26 +2,25 @@
 
 Both engines follow the same pivot rule with exact comparisons, so they must
 agree on every outcome exactly: the same outcome type and an equal value,
-assignment, ray or list of row multipliers.  The explicit cases pin paths
-that random programs reach rarely; the duplicate-row case also checks,
-through the oracle's own state, that a row was really dropped.
+assignment or list of row multipliers.  The current engine has no ray
+outcome: it must raise ``ValueError`` exactly where the oracle returns an
+unbounded ray.  The explicit cases pin paths that random programs reach
+rarely; the duplicate-row case also checks, through the oracle's own state,
+that a row was really dropped.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _fraction_simplex_oracle import BoundedUnbounded as OracleUnbounded
 from _fraction_simplex_oracle import _Simplex as OracleSimplex
 from _fraction_simplex_oracle import solve_bounded as oracle_solve
-from weakstar.numerics import (
-    BoundedInfeasible,
-    BoundedOptimal,
-    BoundedUnbounded,
-    solve_bounded,
-)
+from weakstar.numerics import BoundedInfeasible, BoundedOptimal, solve_bounded
 
 F = Fraction
 
@@ -53,8 +52,13 @@ def bounded_lps(draw):
 
 
 def assert_same_outcome(variables, objective, rows, lower=None, upper=None, sense="max"):
-    got = solve_bounded(variables, objective, rows, lower=lower, upper=upper, sense=sense)
+    """The engine's outcome, or the oracle's ray where the engine raises for it."""
     want = oracle_solve(variables, objective, rows, lower=lower, upper=upper, sense=sense)
+    if isinstance(want, OracleUnbounded):
+        with pytest.raises(ValueError, match="unbounded"):
+            solve_bounded(variables, objective, rows, lower=lower, upper=upper, sense=sense)
+        return want
+    got = solve_bounded(variables, objective, rows, lower=lower, upper=upper, sense=sense)
     assert type(got) is type(want)
     assert got == want
     return got
@@ -112,7 +116,7 @@ def test_unbounded_program():
     variables = ["x", "y"]
     rows = [({"x": F(1), "y": F(-1)}, "<=", F(1))]
     outcome = assert_same_outcome(variables, {"x": F(1)}, rows)
-    assert isinstance(outcome, BoundedUnbounded)
+    assert outcome == OracleUnbounded({"x": F(1), "y": F(1)})
 
 
 def test_negative_rhs_and_bound_flips():
