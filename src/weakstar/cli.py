@@ -131,7 +131,7 @@ def load_document(path: str) -> dict:
     return doc
 
 
-# Most generators a ``points``, ``vertices`` or ``rays`` list may hold.
+# Most generators a ``points``, ``vertices`` or ``rays`` list, or entries a ``sets`` list, may hold.
 GENERATORS_MAX = 1000
 
 
@@ -451,6 +451,8 @@ def cmd_limits(args: argparse.Namespace) -> int:
     raw_sets = doc.get("sets")
     if not isinstance(raw_sets, list) or not raw_sets or not all(isinstance(p, str) for p in raw_sets):
         raise ParseError(f"{args.manifest}: 'sets' must be a nonempty list of file paths")
+    if len(raw_sets) > GENERATORS_MAX:
+        raise ParseError(f"{args.manifest}: 'sets' exceeds the limit of {GENERATORS_MAX} entries")
     set_paths = [str(base / p) for p in raw_sets]
     bodies = [load_body(p) for p in set_paths]
     try:

@@ -32,6 +32,7 @@ from .numerics import (
     l1_norm,
     pair,
     solve_bounded,
+    sup_norm,
 )
 
 __all__ = [
@@ -113,7 +114,7 @@ class PolarSpec:
 
     def max_abs_pairing(self, functional: SparseVec) -> Fraction:
         """sup of |pairing| against this ball; attained at a scaled basis direction."""
-        return self.radius * max((abs(v) for _, v in functional.items()), default=Fraction(0))
+        return self.radius * sup_norm(functional)
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ def _combination_feasible(
     if points:
         rows.append(({("a", i): Fraction(1) for i in range(len(points))}, "=", Fraction(1)))
     rows += [(coeffs[k], "=", target.get(k)) for k in ks]
-    out = solve_bounded(variables, {}, rows, sense="min")
+    out = solve_bounded(variables, {}, rows)
     if isinstance(out, BoundedOptimal):
         return None
     if not isinstance(out, BoundedInfeasible) or len(out.row_multipliers) != len(rows):
@@ -223,7 +224,7 @@ def max_gap_functional(
         rows.append((coeffs, ">=", Fraction(0)))
     for s in blocked:
         rows.append(({("a", k): v for k, v in s.items()}, "<=", Fraction(0)))
-    out = solve_bounded(variables, {("gap",): Fraction(1)}, rows, lower=lower, upper=upper, sense="max")
+    out = solve_bounded(variables, {("gap",): Fraction(1)}, rows, lower=lower, upper=upper)
     if not isinstance(out, BoundedOptimal) or not out.value > 0:
         raise CertificateError(f"largest-gap LP gave {type(out).__name__} without a positive gap")
     return SparseVec({k: out.assignment[("a", k)] for k in ks}), out.value

@@ -7,9 +7,9 @@ Three layers of structure, all exact:
   of these, one per functional, is the object of interest; +inf is a
   first-class value, arising exactly when one image escapes in a direction the
   other does not.
-* ``metric_d`` — a single metric on a fixed bounded "normalizing" body,
-  summing weighted image differences over an enumeration of functionals.  With
-  the default coordinate enumeration the sum is finite and exact.
+* ``metric_d`` — a single metric on a fixed bounded "normalizing" body, a
+  weighted sum over the coordinate functionals of image differences, finite
+  and exact since only the coordinates in the supports involved contribute.
 * ``hausdorff_full`` — the Hausdorff metric induced by ``metric_d`` on bounded
   polytopes inside the normalizing body, the largest per-vertex distance LP
   value (the farthest point of a polytope from a convex body is a vertex).
@@ -76,44 +76,29 @@ Distance = Union[Fraction, float]  # a rational or +inf
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """Weighted enumeration of test functionals over a bounded normalizing body.
+    """Weighted coordinate functionals over a bounded normalizing body.
 
-    The n-th functional (n >= 1) is the coordinate functional e_{n-1} by
-    default; passing ``explicit_functionals`` replaces the enumeration by that
-    finite list (a truncation of any user-chosen enumeration — the discarded
-    tail of the metric sum is certified below 2^(1-N) on the normalizing set,
-    since each term is at most 2^(1-n)).  The n-th weight is
-    2^(-n) / (1 + normalizer(A_n)) where normalizer(A) is the largest absolute
-    pairing of A against the normalizing body, so every term of the metric sum
-    on that body is bounded by 2^(1-n).
+    The n-th functional (n >= 1) is the coordinate functional e_{n-1}; these
+    span the finitely supported sequences.  The n-th weight is
+    2^(-n) / (1 + normalizer(e_{n-1})) where normalizer(A) is the largest
+    absolute pairing of A against the normalizing body, so every term of the
+    metric sum on that body is bounded by 2^(1-n).  Only the finitely many
+    coordinates in the supports involved contribute, so the sum is exact.
     """
 
     normalizing_set: Union[PolarSpec, Polyhedron]
-    explicit_functionals: Optional[tuple[SparseVec, ...]]
 
-    def __init__(
-        self,
-        normalizing_set: Union[PolarSpec, Polyhedron, None] = None,
-        explicit_functionals=None,
-    ):
+    def __init__(self, normalizing_set: Union[PolarSpec, Polyhedron, None] = None):
         body = PolarSpec(1) if normalizing_set is None else normalizing_set
         if isinstance(body, Polyhedron) and body.rays:
             raise BadParameter("the normalizing set must be bounded")
-        prefix = None if explicit_functionals is None else tuple(explicit_functionals)
-        if prefix is not None and not prefix:
-            raise BadParameter("an explicit functional enumeration must be nonempty")
         object.__setattr__(self, "normalizing_set", body)
-        object.__setattr__(self, "explicit_functionals", prefix)
 
     def functional(self, n: int) -> SparseVec:
-        """The n-th test functional, n >= 1."""
+        """The n-th test functional e_{n-1}, n >= 1."""
         if n < 1:
             raise BadParameter("enumeration index starts at 1")
-        if self.explicit_functionals is None:
-            return SparseVec.basis(n - 1)
-        if n > len(self.explicit_functionals):
-            raise BadParameter(f"enumeration has only {len(self.explicit_functionals)} functionals")
-        return self.explicit_functionals[n - 1]
+        return SparseVec.basis(n - 1)
 
     def normalizer(self, functional: SparseVec) -> Fraction:
         """max |pairing| of the functional against the normalizing body."""
@@ -132,23 +117,11 @@ class MetricConfig:
         return membership(sigma, body)
 
     def term_indices(self, *vectors: SparseVec) -> list[int]:
-        """Enumeration indices that can contribute a nonzero metric term.
-
-        For the coordinate enumeration only indices touching some support
-        matter; an explicit enumeration is summed in full.
-        """
-        if self.explicit_functionals is not None:
-            return list(range(1, len(self.explicit_functionals) + 1))
+        """The indices ``n`` whose coordinate ``n - 1`` is in some support: the only nonzero metric terms."""
         coords: set[int] = set()
         for v in vectors:
             coords.update(v.support)
         return [k + 1 for k in sorted(coords)]
-
-    def truncation_bound(self) -> Fraction:
-        """Certified bound on the discarded metric tail, zero when the sum is exact."""
-        if self.explicit_functionals is None:
-            return Fraction(0)
-        return Fraction(2) ** (1 - len(self.explicit_functionals))
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +172,14 @@ def pseudometric_dH(first: SetLike, second: SetLike, functional: SparseVec) -> D
 
 
 def metric_d(sigma: SparseVec, tau: SparseVec, cfg: MetricConfig = MetricConfig()) -> Fraction:
-    """Weighted sum of image differences over the configured enumeration."""
+    """Weighted sum of the coordinate differences of ``sigma`` and ``tau``."""
     for point in (sigma, tau):
         if not cfg.contains(point):
             raise NotInNormalizingSet("both points must lie in the normalizing set")
     diff = sigma - tau
     total = Fraction(0)
     for n in cfg.term_indices(diff):
-        total += cfg.weight(n) * abs(pair(cfg.functional(n), diff))
+        total += cfg.weight(n) * abs(diff.get(n - 1))
     return total
 
 
@@ -215,10 +188,9 @@ def point_body_distance(sigma: SparseVec, body: Polyhedron, cfg: MetricConfig = 
     return distances_to_body([sigma], body, cfg)[0]
 
 
-def _images(cfg: MetricConfig, ns: Sequence[int], vectors: Sequence[SparseVec]) -> dict[SparseVec, list[Fraction]]:
-    """Each vector's pairings with the functionals indexed by ``ns``, in that order."""
-    functionals = [cfg.functional(n) for n in ns]
-    return {v: [pair(f, v) for f in functionals] for v in vectors}
+def _images(ns: Sequence[int], vectors: Sequence[SparseVec]) -> dict[SparseVec, list[Fraction]]:
+    """Each vector's coordinates ``n - 1`` for the indices ``n`` in ``ns``, in that order."""
+    return {v: [v.get(n - 1) for n in ns] for v in vectors}
 
 
 def _distance_lp(body_images: Sequence[list[Fraction]], weights: Sequence[Fraction]) -> Callable[[list[Fraction]], Fraction]:
@@ -247,7 +219,7 @@ def _distance_lp(body_images: Sequence[list[Fraction]], weights: Sequence[Fracti
     rows = [(linear(img), "<=", floor) for img in body_images]
 
     def distance(image: list[Fraction]) -> Fraction:
-        out = solve_bounded(variables, linear(image), rows, lower=lower, upper=upper, sense="max")
+        out = solve_bounded(variables, linear(image), rows, lower=lower, upper=upper)
         if not isinstance(out, BoundedOptimal):
             raise CertificateError(f"distance LP gave {type(out).__name__}, not an optimum")
         return out.value - floor + sum((weights[k] * abs(image[k]) for k in loose), Fraction(0))
@@ -260,7 +232,7 @@ def distances_to_body(points: Sequence[SparseVec], body: Polyhedron, cfg: Metric
     if body.rays:
         raise UnboundedInput("distance target must be a polytope")
     ns = cfg.term_indices(*points, *body.vertices)
-    images = _images(cfg, ns, [*points, *body.vertices])
+    images = _images(ns, [*points, *body.vertices])
     distance = _distance_lp([images[q] for q in body.vertices], [cfg.weight(n) for n in ns])
     return [Fraction(0) if sigma in body.vertices else distance(images[sigma]) for sigma in points]
 
@@ -286,7 +258,7 @@ def hausdorff_full(first: Polyhedron, second: Polyhedron, cfg: MetricConfig = Me
                 raise NotInNormalizingSet("vertex outside the normalizing set")
     ns = cfg.term_indices(*first.vertices, *second.vertices)
     weights = [cfg.weight(n) for n in ns]
-    images = _images(cfg, ns, [*first.vertices, *second.vertices])
+    images = _images(ns, [*first.vertices, *second.vertices])
     image_den = lcm(*(x.denominator for img in images.values() for x in img))
     weight_den = lcm(*(w.denominator for w in weights))
     scaled = {v: [x.numerator * (image_den // x.denominator) for x in img] for v, img in images.items()}

@@ -7,11 +7,11 @@ only non-rational value that appears anywhere is ``math.inf``, used as a
 first-class "infinite distance" marker, never as an approximation of a finite
 number.
 
-``solve_bounded`` is the one linear-program entry point: ordered variables with
-finite lower and optional upper bounds (a caller splits a free variable into a
-nonnegative pair) and rows with ``<=``, ``=`` or ``>=``.  The objective must be
-bounded on the feasible set, as in every program this package builds; an
-unbounded one raises ``ValueError``.
+``solve_bounded`` is the one linear-program entry point: it maximizes over
+ordered variables with finite lower and optional upper bounds (a caller splits
+a free variable into a nonnegative pair, and minimizes by maximizing ``-c``)
+and rows with ``<=``, ``=`` or ``>=``.  The objective must be bounded on the
+feasible set, as every program here is; an unbounded one raises ``ValueError``.
 
 The solver is a two-phase primal simplex with Bland's anti-cycling rule.
 Bounds are handled implicitly (bound substitution) instead of as explicit
@@ -259,16 +259,15 @@ def solve_bounded(
     *,
     lower: Mapping[Hashable, Fraction] | None = None,
     upper: Mapping[Hashable, Fraction] | None = None,
-    sense: str = "max",
 ) -> BoundedOutcome:
-    """Exact simplex over ``lower <= x <= upper`` (lower defaults to 0, upper to +inf).
+    """Maximize ``objective . x`` over ``lower <= x <= upper`` (lower defaults to 0, upper to +inf).
 
     Returns an optimal assignment or row multipliers proving infeasibility
     (see ``BoundedInfeasible``); both are re-checked exactly before
     returning.  The objective must be bounded on the feasible set: an
     unbounded program raises ``ValueError``.
     """
-    return _Simplex(variables, objective, rows, lower or {}, upper or {}, sense).run()
+    return _Simplex(variables, objective, rows, lower or {}, upper or {}).run()
 
 
 def _dot(coeffs: Mapping[int, Fraction], x: Sequence[Fraction]) -> Fraction:
@@ -297,13 +296,10 @@ class _Simplex:
     ``_check_*`` certifies against them in the caller's variables.
     """
 
-    def __init__(self, variables, objective, rows, lower, upper, sense):
-        if sense not in ("max", "min"):
-            raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
+    def __init__(self, variables, objective, rows, lower, upper):
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable keys")
         self.varkeys = list(variables)
-        self.sense = sense
         self.nstruct = len(self.varkeys)
         index = {v: j for j, v in enumerate(self.varkeys)}
 
@@ -316,13 +312,12 @@ class _Simplex:
             if u is not None and u < self.low[j]:
                 raise ValueError(f"variable {self.varkeys[j]!r} has empty bound interval")
 
-        # Minimization internally; negate a max objective.
-        sign = Fraction(-1) if sense == "max" else Fraction(1)
+        # Minimization internally, of the negated objective.
         self.cost = [Fraction(0)] * self.nstruct
         for v, coef in objective.items():
             if v not in index:
                 raise ValueError(f"objective mentions unknown variable {v!r}")
-            self.cost[index[v]] = sign * as_rational(coef)
+            self.cost[index[v]] = -as_rational(coef)
 
         self.caller_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
         for coeffs, rel, rhs in rows:
@@ -613,7 +608,7 @@ class _Simplex:
         self._check_feasible_point(values)
         self._check_optimal_bound(values)
         raw = sum((c * x for c, x in zip(self.cost, values) if c), Fraction(0))
-        return BoundedOptimal(-raw if self.sense == "max" else raw, dict(zip(self.varkeys, values)))
+        return BoundedOptimal(-raw, dict(zip(self.varkeys, values)))
 
     def _evict_artificials(self):
         """Pivot residual zero-level artificials out of the basis; drop redundant rows."""

@@ -43,7 +43,7 @@ def _combination_feasible(
             if v:
                 coeffs[("b", j)] = v
         rows.append((coeffs, "=", target.get(k)))
-    out = solve_bounded(variables, {}, rows, sense="min")
+    out = solve_bounded(variables, {}, rows)
     return isinstance(out, BoundedOptimal)
 
 

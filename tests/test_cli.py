@@ -394,6 +394,18 @@ class TestLimits:
         assert cli.main(["limits", query]) == 2
         capsys.readouterr()
 
+    def test_sets_past_the_limit_are_a_parse_error(self, tmp_path, capsys, monkeypatch):
+        def no_reading(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli, "load_body", no_reading)
+        doc = {"kind": "limit-query", "sets": ["seg1.json"] * (cli.GENERATORS_MAX + 1)}
+        query = write_doc(tmp_path / "query.json", doc)
+        assert cli.main(["limits", query]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"'sets' exceeds the limit of {cli.GENERATORS_MAX} entries" in captured.err
+
 
 class TestImmeasurable:
     def test_bounded_pair_has_no_witness(self, files, tmp_path, capsys):

@@ -87,20 +87,22 @@ class TestMetricConfig:
         with pytest.raises(BadParameter):
             MetricConfig(normalizing_set=Polyhedron([ZERO], rays=[E0]))
 
-    def test_explicit_enumeration(self):
-        cfg = MetricConfig(explicit_functionals=[E0 + E1, E0])
-        assert cfg.functional(2) == E0
-        assert cfg.term_indices(SparseVec.basis(9)) == [1, 2]
-        assert cfg.truncation_bound() == F(1, 2)
+    def test_coordinate_enumeration(self):
+        cfg = MetricConfig()
+        assert cfg.functional(10) == SparseVec.basis(9)
+        assert cfg.term_indices(SparseVec.basis(9)) == [10]
         with pytest.raises(BadParameter):
-            cfg.functional(3)
+            cfg.functional(0)
 
-    def test_truncation_bound_controls_discarded_tail(self):
-        sigma = SparseVec({0: F(1, 2), 10: F(1, 2)})
-        exact = metric_d(sigma, ZERO)
-        prefix = MetricConfig(explicit_functionals=[SparseVec.basis(k) for k in range(4)])
-        partial = metric_d(sigma, ZERO, prefix)
-        assert partial <= exact <= partial + prefix.truncation_bound()
+    def test_terms_past_the_nth_coordinate_are_bounded(self):
+        # Each term of the metric sum on the normalizing set is at most
+        # 2^(1-n), so the terms past the N-th coordinate add at most 2^(1-N).
+        cfg, n_max = MetricConfig(), 4
+        sigma, tau = SparseVec({0: F(1, 2), 10: F(1, 2)}), SparseVec({0: F(1, 2)})
+        terms = {n: cfg.weight(n) * abs(pair(cfg.functional(n), sigma - tau)) for n in cfg.term_indices(sigma, tau)}
+        tail = sum((t for n, t in terms.items() if n > n_max), F(0))
+        assert metric_d(sigma, tau, cfg) == sum(terms.values())
+        assert 0 < tail <= F(2) ** (1 - n_max)
 
 
 class TestPseudometric:
@@ -278,7 +280,6 @@ class TestHausdorffFull:
             [
                 MetricConfig(),
                 MetricConfig(PolarSpec(2)),
-                MetricConfig(explicit_functionals=[E0 + E1, SparseVec.basis(2, F(1, 2)), dual(0, -1, 3)]),
             ]
         ),
     )
@@ -290,7 +291,7 @@ class TestHausdorffFull:
         body = closed_convex_hull(b)
         ns = cfg.term_indices(*points, *body.vertices)
         weights = {("y", n): cfg.weight(n) for n in ns}
-        images = hypermetrics._images(cfg, ns, [*points, *body.vertices])
+        images = hypermetrics._images(ns, [*points, *body.vertices])
 
         def linear(img):
             return {**dict(zip(weights, img)), ("zp",): F(-1), ("zm",): F(1)}
@@ -323,7 +324,6 @@ class TestHausdorffFull:
                 MetricConfig(),
                 MetricConfig(PolarSpec(2)),
                 MetricConfig(Polyhedron([SparseVec.basis(k, s) for k in range(3) for s in (1, -1)])),
-                MetricConfig(explicit_functionals=[E0 + E1, SparseVec.basis(2, F(1, 2)), dual(0, -1, 3)]),
             ]
         ),
     )

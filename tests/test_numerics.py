@@ -140,7 +140,7 @@ def dot(coeffs, x):
     return sum((F(c) * x.get(v, 0) for v, c in coeffs.items()), F(0))
 
 
-def check_outcome(variables, objective, rows, out, *, lower=None, upper=None, sense="max"):
+def check_outcome(variables, objective, rows, out, *, lower=None, upper=None):
     """Re-check an outcome against the problem data, independently of the engine.
 
     The engine has no ray outcome; a ray comes from the frozen oracle, for a
@@ -160,8 +160,7 @@ def check_outcome(variables, objective, rows, out, *, lower=None, upper=None, se
         ray = out.ray
         assert ray and all(ray.get(v, 0) >= 0 and (v not in upper or ray.get(v, 0) == 0) for v in variables)
         assert all(holds(dot(coeffs, ray), rel, 0) for coeffs, rel, _ in rows)
-        gain = dot(objective, ray)
-        assert gain > 0 if sense == "max" else gain < 0
+        assert dot(objective, ray) > 0
     else:
         y = out.row_multipliers
         assert len(y) == len(rows)
@@ -189,7 +188,7 @@ class TestLpSolve:
     """Small programs with known optima and witnesses."""
 
     def test_single_upper_bound(self):
-        out = solve_bounded([0], {0: F(1)}, [({0: F(1)}, "<=", F(3))], sense="max")
+        out = solve_bounded([0], {0: F(1)}, [({0: F(1)}, "<=", F(3))])
         assert out == BoundedOptimal(F(3), {0: F(3)})
 
     def test_unbounded_direction(self):
@@ -197,28 +196,29 @@ class TestLpSolve:
         # as one of the caller's variables.
         problem = ([0], {0: F(1)}, [({0: F(1)}, ">=", F(0))])
         with pytest.raises(ValueError, match="unbounded.*slack column 1"):
-            solve_bounded(*problem, sense="max")
-        ray = oracle_solve(*problem, sense="max").ray
+            solve_bounded(*problem)
+        ray = oracle_solve(*problem).ray
         assert dot({0: F(1)}, ray) > 0
 
     def test_triangle(self):
         rows = [({0: F(1)}, ">=", F(0)), ({1: F(1)}, ">=", F(0)), ({0: F(1), 1: F(1)}, "<=", F(1))]
-        out = solve_bounded([0, 1], {0: F(1), 1: F(1)}, rows, sense="max")
+        out = solve_bounded([0, 1], {0: F(1), 1: F(1)}, rows)
         assert isinstance(out, BoundedOptimal)
         assert out.value == 1
 
     def test_infeasible_certificate(self):
         # The finite lower bound lets x0 go negative, so only the rows conflict.
         rows = [({0: F(1)}, "<=", F(0)), ({0: F(1)}, ">=", F(1))]
-        out = solve_bounded([0], {0: F(1)}, rows, lower={0: F(-5)}, sense="max")
+        out = solve_bounded([0], {0: F(1)}, rows, lower={0: F(-5)})
         assert isinstance(out, BoundedInfeasible)
         check_outcome([0], {0: F(1)}, rows, out, lower={0: F(-5)})
 
     def test_minimization(self):
+        # min x0 + 2 x1 is max -x0 - 2 x1: the same internal cost row, pivots and witness.
         rows = [({0: F(1), 1: F(1)}, ">=", F(1)), ({0: F(1)}, ">=", F(0)), ({1: F(1)}, ">=", F(0))]
-        out = solve_bounded([0, 1], {0: F(1), 1: F(2)}, rows, sense="min")
+        out = solve_bounded([0, 1], {0: F(-1), 1: F(-2)}, rows)
         assert isinstance(out, BoundedOptimal)
-        assert out.value == 1
+        assert -out.value == 1
         assert out.assignment == {0: F(1), 1: F(0)}
 
     def test_equality_row(self):
@@ -228,7 +228,7 @@ class TestLpSolve:
             ({1: F(1)}, ">=", F(0)),
             ({0: F(1)}, ">=", F(0)),
         ]
-        out = solve_bounded([0, 1], {0: F(3), 1: F(1)}, rows, sense="max")
+        out = solve_bounded([0, 1], {0: F(3), 1: F(1)}, rows)
         assert isinstance(out, BoundedOptimal)
         assert out.value == F(3, 2) + F(3, 2)
         assert out.assignment == {0: F(1, 2), 1: F(3, 2)}
@@ -241,14 +241,14 @@ class TestLpSolve:
             ({2: F(1)}, "<=", F(1)),
             *(({i: F(1)}, ">=", F(0)) for i in range(4)),
         ]
-        out = solve_bounded(list(range(4)), {0: F(3, 4), 1: F(-150), 2: F(1, 50), 3: F(-6)}, rows, sense="max")
+        out = solve_bounded(list(range(4)), {0: F(3, 4), 1: F(-150), 2: F(1, 50), 3: F(-6)}, rows)
         assert isinstance(out, BoundedOptimal)
         assert out.value == F(1, 20)
 
     def test_negative_rhs_path(self):
         # Split x0 so the rows keep their negative right-hand sides.
         rows = [(split({0: 1}), "<=", F(-2)), (split({0: 1}), ">=", F(-10))]
-        out = solve_bounded([("+", 0), ("-", 0)], split({0: 1}), rows, sense="max")
+        out = solve_bounded([("+", 0), ("-", 0)], split({0: 1}), rows)
         assert isinstance(out, BoundedOptimal)
         assert out.value == -2
         assert joined(out.assignment, 1) == {0: F(-2)}
@@ -261,7 +261,7 @@ class TestLpSolve:
             ({1: F(1)}, ">=", F(0)),
         ]
         problem = ([0, 1], {0: F(1), 1: F(1)}, rows)
-        assert solve_bounded(*problem, sense="max") == solve_bounded(*problem, sense="max")
+        assert solve_bounded(*problem) == solve_bounded(*problem)
 
 
 class TestSolveBounded:
@@ -272,7 +272,6 @@ class TestSolveBounded:
             [],
             lower={"a": F(-1), "b": F(-2)},
             upper={"a": F(5), "b": F(4)},
-            sense="max",
         )
         assert out.value == 2 * 5 + (-3) * (-2)
         assert out.assignment == {"a": F(5), "b": F(-2)}
@@ -284,7 +283,6 @@ class TestSolveBounded:
             {"a": F(1), "b": F(1)},
             [({"a": F(1), "b": F(1)}, "<=", F(3))],
             upper={"a": F(2), "b": F(2)},
-            sense="max",
         )
         assert out.value == 3
 
@@ -294,24 +292,24 @@ class TestSolveBounded:
             {"a": F(1)},
             [({"a": F(1)}, ">=", F(7))],
             upper={"a": F(2)},
-            sense="max",
         )
         assert hasattr(out, "row_multipliers")
 
     def test_unbounded_reports_ray(self):
         problem = (["a", "b"], {"a": F(1)}, [({"b": F(1)}, "<=", F(1))])
         with pytest.raises(ValueError, match="unbounded.*'a'"):
-            solve_bounded(*problem, sense="max")
-        assert oracle_solve(*problem, sense="max").ray == {"a": F(1)}
+            solve_bounded(*problem)
+        assert oracle_solve(*problem).ray == {"a": F(1)}
 
     def test_equality_negative_rhs(self):
+        # min a - b, as max b - a.
         out = solve_bounded(
             ["a", "b"],
-            {"a": F(1), "b": F(-1)},
+            {"a": F(-1), "b": F(1)},
             [({"a": F(1), "b": F(-2)}, "=", F(-4))],
-            sense="min",
         )
-        assert out.value == -2  # a=0, b=2
+        assert -out.value == -2  # a=0, b=2
+        assert out.assignment == {"a": F(0), "b": F(2)}
 
 
 def box_oracle(c, lo, hi):
@@ -333,7 +331,7 @@ def test_box_lp_against_closed_form(data):
     n = len(c)
     rows = [({i: F(1)}, rel, bound) for i in range(n) for rel, bound in ((">=", lo[i]), ("<=", hi[i]))]
     # The box sits inside [-5, 5], so the finite lower bound never binds.
-    out = solve_bounded(list(range(n)), dict(enumerate(c)), rows, lower=dict.fromkeys(range(n), F(-5)), sense="max")
+    out = solve_bounded(list(range(n)), dict(enumerate(c)), rows, lower=dict.fromkeys(range(n), F(-5)))
     assert isinstance(out, BoundedOptimal)
     assert out.value == box_oracle(c, lo, hi)
 
@@ -346,7 +344,7 @@ def test_box_lp_against_closed_form(data):
 def test_simplex_lp_against_max_coefficient(c, total):
     n = len(c)
     rows = [(dict.fromkeys(range(n), F(1)), "=", total)] + [({i: F(1)}, ">=", F(0)) for i in range(n)]
-    out = solve_bounded(list(range(n)), dict(enumerate(c)), rows, sense="max")
+    out = solve_bounded(list(range(n)), dict(enumerate(c)), rows)
     assert isinstance(out, BoundedOptimal)
     assert out.value == total * max(c)
 
@@ -367,9 +365,9 @@ def test_fuzz_outcomes_always_verify(seedrows):
     objective = split({0: F(1), 1: F(-1), 2: F(1, 3)})
     rows = [(split(dict(enumerate(coeffs))), "<=", abs(rhs)) for coeffs, rhs in seedrows]
     try:
-        out = solve_bounded(variables, objective, rows, sense="max")
+        out = solve_bounded(variables, objective, rows)
     except ValueError:
-        out = oracle_solve(variables, objective, rows, sense="max")
+        out = oracle_solve(variables, objective, rows)
         assert isinstance(out, OracleUnbounded)
     check_outcome(variables, objective, rows, out)
     assert not isinstance(out, BoundedInfeasible)  # the origin is always feasible

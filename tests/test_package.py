@@ -1,6 +1,8 @@
 """The package root re-exports exactly each module's ``__all__``, in module order."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import weakstar
@@ -54,6 +56,18 @@ def test_unbounded_outcome_is_gone():
     # has no ray outcome; an unbounded program raises ``ValueError``.
     assert "BoundedUnbounded" not in weakstar.__all__
     assert not hasattr(numerics, "BoundedUnbounded")
+
+
+def test_solve_bounded_only_maximizes():
+    # Every program the package builds is a maximization (the Farkas test's
+    # objective is empty), so there is no ``sense`` to choose.
+    params = list(inspect.signature(numerics.solve_bounded).parameters)
+    assert params == ["variables", "objective", "rows", "lower", "upper"]
+
+
+def test_metric_config_holds_only_the_normalizing_set():
+    # The metric always sums over the coordinate functionals e_{n-1}.
+    assert [f.name for f in dataclasses.fields(hypermetrics.MetricConfig)] == ["normalizing_set"]
 
 
 def test_no_assert_in_the_package():

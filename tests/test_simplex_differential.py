@@ -52,13 +52,22 @@ def bounded_lps(draw):
 
 
 def assert_same_outcome(variables, objective, rows, lower=None, upper=None, sense="max"):
-    """The engine's outcome, or the oracle's ray where the engine raises for it."""
+    """The engine's outcome, or the oracle's ray where the engine raises for it.
+
+    The engine only maximizes.  A ``"min"`` program goes to it as the
+    maximization of ``-objective``, which gives it the same internal cost row
+    as the oracle's minimization, and its optimal value is negated back.
+    """
     want = oracle_solve(variables, objective, rows, lower=lower, upper=upper, sense=sense)
+    flip = -1 if sense == "min" else 1
+    engine_objective = {v: flip * c for v, c in objective.items()}
     if isinstance(want, OracleUnbounded):
         with pytest.raises(ValueError, match="unbounded"):
-            solve_bounded(variables, objective, rows, lower=lower, upper=upper, sense=sense)
+            solve_bounded(variables, engine_objective, rows, lower=lower, upper=upper)
         return want
-    got = solve_bounded(variables, objective, rows, lower=lower, upper=upper, sense=sense)
+    got = solve_bounded(variables, engine_objective, rows, lower=lower, upper=upper)
+    if isinstance(got, BoundedOptimal):
+        got = BoundedOptimal(flip * got.value, got.assignment)
     assert type(got) is type(want)
     assert got == want
     return got
