@@ -307,8 +307,9 @@ def cmd_distance(args: argparse.Namespace) -> int:
     return 0
 
 
-# Largest counts the commands accept: a run at these limits takes at most about
-# 16 s on 2 CPUs, and the time for steps and spikes grows far faster than linearly.
+# Largest counts the commands accept.  On 2 CPUs, `poulsen --steps 64` on a
+# 5-vertex target takes about 0.4 s, and `demo` at these limits about 8 s, most
+# of it in the 1,000 directions; the time for steps grows faster than linearly.
 STEPS_MAX = 64
 SPIKES_MAX = 64
 DIRECTIONS_MAX = 1000

@@ -235,10 +235,11 @@ def membership(sigma: SparseVec, body: SetLike) -> bool:
 
     A ``PointSet`` holds only its points, as its ``scalar_image`` does, so
     sigma must be one of them; a ``Polyhedron`` holds its closed convex hull.
+    A listed vertex is a member without an LP, with or without rays.
     """
     if isinstance(body, PointSet):
         return sigma in body.points
-    return _combination_feasible(sigma, body.vertices, body.rays) is None
+    return sigma in body.vertices or _combination_feasible(sigma, body.vertices, body.rays) is None
 
 
 def _prune_vertices(vertices: Sequence[SparseVec], rays: Sequence[SparseVec]) -> tuple[SparseVec, ...]:

@@ -329,9 +329,10 @@ def verify_trace(
     """Re-check a construction run from scratch; failures become report entries.
 
     Distances are measured with the default coordinate-functional metric
-    normalized to the given ball.  The exposure check solves a fresh
-    margin-maximizing program on the final vertex set for every appended
-    vertex — it does not trust the certificates stored in the trace.
+    normalized to the given ball.  The exposure check pairs each step's stored
+    functional exactly with the result's vertices; only when it is not strictly
+    largest at the appended vertex is a fresh margin-maximizing program solved
+    on the final vertex set.
     """
     eps, steps = trace.epsilon, trace.steps
     budgets = (("distance_within_double_budget", "2*eps", 2 * eps), ("distance_within_budget", "eps", eps))
@@ -402,6 +403,13 @@ def verify_trace(
 
     exposure_bad = []
     for step in steps:
+        # A stored functional strictly largest at its vertex over every generator
+        # of a bounded result exposes it; only otherwise is a program solved.
+        v, f = step.new_vertex, step.functional
+        if not result.rays and v in result.vertices:
+            top = pair(f, v)
+            if all(pair(f, w) < top for w in result.vertices if w != v):
+                continue
         try:
             cert = exposure_certificate(result, step.new_vertex)
         except Exception as exc:

@@ -172,6 +172,21 @@ class TestMembership:
         assert not membership(midpoint, PointSet([a, b]))
         assert membership(midpoint, Polyhedron([a, b]))
 
+    def test_listed_vertex_needs_no_lp(self, monkeypatch):
+        real, calls = geometry.solve_bounded, []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "solve_bounded", spy)
+        horn = Polyhedron([pt(0, 0), pt(1, 0), pt(0, 1)], rays=[pt(1, 1)])
+        assert membership(pt(1, 0), horn)
+        assert calls == []
+        square = Polyhedron([pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)])
+        assert membership(pt(F(1, 2), F(1, 3)), square)
+        assert len(calls) == 1
+
     @given(
         coords=st.lists(
             st.tuples(

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _exposure_oracle import designated_exposed as oracle_exposed
+from weakstar import poulsen
 from weakstar.errors import (
     BadParameter,
     TargetOutsidePolar,
@@ -391,6 +393,110 @@ class TestPinnedReports:
         assert len(names) == 12
         assert failed == names
         assert all(passed for case, checks in expected.items() if case.endswith("/clean") for _, passed, _ in checks)
+
+
+def _barycenter(points):
+    total = SparseVec.zero()
+    for v in points:
+        total = total + v.scale(F(1, len(points)))
+    return total
+
+
+def _with_functional(trace, k, functional):
+    step = dataclasses.replace(trace.steps[k], functional=functional)
+    return dataclasses.replace(trace, steps=trace.steps[:k] + (step,) + trace.steps[k + 1 :])
+
+
+def _swap_for_barycenter(result, victim):
+    others = [v for v in result.vertices if v != victim]
+    return Polyhedron(others + [_barycenter(others)])
+
+
+def _overshadow(result, step):
+    """Add the reflection of the base point through the vertex, so the vertex is a midpoint."""
+    beyond = step.new_vertex.scale(2) - step.base_point
+    return Polyhedron([*result.vertices, beyond])
+
+
+def _exposed_check(report):
+    check = next(c for c in report.checks if c.name == "designated_exposed")
+    return check.passed, check.detail
+
+
+# Each tamper maps (result, trace, k) to a new (result, trace); k names a step.
+EXPOSURE_TAMPERS = {
+    "clean": lambda r, t, k: (r, t),
+    # The vertex stays extreme but its stored functional no longer exposes it.
+    "functional_negated": lambda r, t, k: (r, _with_functional(t, k, -t.steps[k].functional)),
+    "functional_zeroed": lambda r, t, k: (r, _with_functional(t, k, SparseVec.zero())),
+    "vertex_by_barycenter": lambda r, t, k: (_swap_for_barycenter(r, t.steps[k].new_vertex), t),
+    "interior_point_added": lambda r, t, k: (Polyhedron([*r.vertices, _barycenter(r.vertices)]), t),
+    # The vertex stays listed but turns redundant, and its functional is flat.
+    "vertex_overshadowed": lambda r, t, k: (_overshadow(r, t.steps[k]), _with_functional(t, k, SparseVec.zero())),
+    "ray_added": lambda r, t, k: (Polyhedron(r.vertices, rays=[t.steps[k].spike]), t),
+}
+
+
+@st.composite
+def small_runs(draw):
+    """A small target for a drawn variant, a step count and a step to tamper."""
+    variant = draw(st.sampled_from(list(Variant)))
+    if variant is Variant.STATE_SPACE:
+        weights = st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any)
+        rows = draw(st.lists(weights, min_size=1, max_size=4))
+        points = [[F(w, sum(row)) for w in row] for row in rows]
+    else:
+        lowest = 0 if variant is Variant.POSITIVE else F(-1, 4)
+        coord = st.fractions(min_value=lowest, max_value=F(1, 4), max_denominator=4)
+        points = draw(st.lists(st.lists(coord, min_size=3, max_size=3), min_size=1, max_size=4))
+    target = Polyhedron([SparseVec(dict(enumerate(p))) for p in points])
+    steps = draw(st.integers(1, 6))
+    epsilon = draw(st.sampled_from([F(1, 2), F(1, 8)]))
+    return target, variant, epsilon, steps, draw(st.integers(0, steps - 1))
+
+
+class TestExposureDifferential:
+    """The stored-functional check against the frozen always-LP loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=small_runs(), tamper=st.sampled_from(sorted(EXPOSURE_TAMPERS)))
+    def test_same_verdict_as_the_always_lp_loop(self, run, tamper):
+        target, variant, epsilon, steps, k = run
+        result, trace = construct(target, POLAR, epsilon, steps, variant)
+        body, record = EXPOSURE_TAMPERS[tamper](result, trace, k)
+        report = verify_trace(target, POLAR, body, record)
+        assert _exposed_check(report) == oracle_exposed(body, record)
+
+
+class TestStoredCertificates:
+    STEPS = 48
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        """The vertices that ``verify_trace`` hands to an exposure program."""
+        real, calls = poulsen.exposure_certificate, []
+
+        def spy(body, vertex):
+            calls.append(vertex)
+            return real(body, vertex)
+
+        monkeypatch.setattr(poulsen, "exposure_certificate", spy)
+        return calls
+
+    def test_clean_run_solves_no_exposure_program(self, solved):
+        target = Polyhedron(SQUARE)
+        result, trace = construct(target, POLAR, F(1, 2), self.STEPS)
+        report = verify_trace(target, POLAR, result, trace)
+        assert report.passed
+        assert solved == []
+
+    def test_negated_functional_solves_one_program(self, solved):
+        target = Polyhedron(SQUARE)
+        result, trace = construct(target, POLAR, F(1, 2), self.STEPS)
+        k = self.STEPS // 2
+        report = verify_trace(target, POLAR, result, _with_functional(trace, k, -trace.steps[k].functional))
+        assert solved == [trace.steps[k].new_vertex]
+        assert _exposed_check(report) == (True, f"fresh exposure programs passed for all {self.STEPS} vertices")
 
 
 class TestJordanDecompose:
