@@ -21,13 +21,14 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from math import inf
 from pathlib import Path
 from typing import Optional, Union
 
 from .errors import BadParameter, CertificateError, ParseError, PreconditionError
-from .faces import ExposureCertificate, exposed_all, fan_directions, inscribed_polygon
+from .faces import exposed_all, fan_directions, inscribed_polygon
 from .geometry import (
     PointSet,
     Polyhedron,
@@ -111,6 +112,21 @@ def set_to_json(body: Union[PointSet, Polyhedron]) -> dict:
 
 def vector_to_json(v: SparseVec) -> dict:
     return {"kind": "vector", "entries": vec_to_json(v)}
+
+
+def _fields_to_json(value):
+    """A dataclass as a dict keyed by its field names, nested fields converted alike.
+
+    A ``Fraction`` becomes ``"num/den"`` and a ``SparseVec`` a pair list; any
+    other value is written as it is.
+    """
+    if isinstance(value, Fraction):
+        return rational_to_str(value)
+    if isinstance(value, SparseVec):
+        return vec_to_json(value)
+    if is_dataclass(value):
+        return {f.name: _fields_to_json(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 def load_document(path: str) -> dict:
@@ -351,21 +367,6 @@ def cmd_poulsen(args: argparse.Namespace) -> int:
 
 
 def _trace_to_json(trace) -> dict:
-    steps = []
-    for step in trace.steps:
-        steps.append(
-            {
-                "index": step.index,
-                "fresh_coordinate": step.fresh_coordinate,
-                "blend": rational_to_str(step.blend),
-                "spike_scale": rational_to_str(step.spike_scale),
-                "spike": vec_to_json(step.spike),
-                "functional": vec_to_json(step.functional),
-                "base_point": vec_to_json(step.base_point),
-                "new_vertex": vec_to_json(step.new_vertex),
-                "certificate": _cert_to_json(step.certificate),
-            }
-        )
     state = trace.schedule_state
     return {
         "kind": "trace",
@@ -373,29 +374,14 @@ def _trace_to_json(trace) -> dict:
         "radius": rational_to_str(trace.radius),
         "variant": trace.variant.value,
         "seed": trace.seed,
-        "steps": steps,
+        "steps": [_fields_to_json(step) for step in trace.steps],
         "schedule_queue": [vec_to_json(v) for v in state.queue],
         "schedule_cursor": {"block": state.block, "stage": state.stage, "position": state.position},
     }
 
 
-def _cert_to_json(cert: ExposureCertificate) -> dict:
-    return {
-        "vertex": vec_to_json(cert.vertex),
-        "functional": vec_to_json(cert.functional),
-        "margin": rational_to_str(cert.margin),
-    }
-
-
 def _report_to_json(report) -> dict:
-    return {
-        "kind": "report",
-        "passed": report.passed,
-        "checks": [
-            {"name": check.name, "passed": check.passed, "detail": check.detail}
-            for check in report.checks
-        ],
-    }
+    return {"kind": "report", "passed": report.passed, "checks": [_fields_to_json(c) for c in report.checks]}
 
 
 def cmd_expose(args: argparse.Namespace) -> int:
@@ -408,7 +394,7 @@ def cmd_expose(args: argparse.Namespace) -> int:
             f" with margin {rational_to_str(cert.margin)}"
         )
         _print_approx(args, "margin", cert.margin)
-    payload = {"kind": "report", "certificates": [_cert_to_json(cert) for cert in certificates]}
+    payload = {"kind": "report", "certificates": [_fields_to_json(cert) for cert in certificates]}
     _emit(args, manifest, "exposure.json", payload)
     return 0
 

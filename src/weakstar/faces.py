@@ -234,7 +234,7 @@ def stadium_family(count: int) -> Polyhedron:
         points.append(SparseVec({0: 1 + x, 1: y}))
     for p in points[:half]:
         points.append(SparseVec({0: -p.get(0), 1: p.get(1)}))
-    return Polyhedron(points, irredundant=True)
+    return Polyhedron(points)
 
 
 def _square_boundary_point(distance: Fraction) -> tuple[Fraction, Fraction]:
@@ -256,8 +256,8 @@ def inscribed_polygon(k: int) -> Polyhedron:
     The four corners are grid points at every level, so each consecutive pair
     of generators spans a flat edge segment; refining k to k+1 splits every
     such segment at its midpoint, halving every directional projection gap
-    exactly.  Listed generators are boundary points, not all extreme, so the
-    result is deliberately left unflagged.
+    exactly.  Listed generators are boundary points, not all extreme; a
+    caller that needs the extreme points asks ``closed_convex_hull``.
     """
     if k < 2:
         raise BadParameter("an inscribed polygon needs at least 4 boundary points (k >= 2)")

@@ -51,13 +51,6 @@ __all__ = [
 ]
 
 
-def _dedupe(points: Iterable[SparseVec]) -> tuple[SparseVec, ...]:
-    seen: dict[SparseVec, None] = {}
-    for p in points:
-        seen.setdefault(p, None)
-    return tuple(seen)
-
-
 @dataclass(frozen=True)
 class PointSet:
     """A finite nonempty set of dual points, order-preserving and deduplicated."""
@@ -65,7 +58,7 @@ class PointSet:
     points: tuple[SparseVec, ...]
 
     def __init__(self, points: Iterable[SparseVec]):
-        deduped = _dedupe(points)
+        deduped = tuple(dict.fromkeys(points))
         if not deduped:
             raise BadParameter("a point set must contain at least one point")
         object.__setattr__(self, "points", deduped)
@@ -75,17 +68,14 @@ class PointSet:
 class Polyhedron:
     """Closed convex hull of ``vertices`` plus nonnegative combinations of ``rays``.
 
-    The generator lists may be redundant; ``irredundant=True`` promises that no
-    vertex lies in the hull of the remaining generators and no ray lies in the
-    cone of the remaining rays.
+    The generator lists may be redundant; only ``closed_convex_hull`` prunes them.
     """
 
     vertices: tuple[SparseVec, ...]
     rays: tuple[SparseVec, ...] = ()
-    irredundant: bool = False
 
-    def __init__(self, vertices: Iterable[SparseVec], rays: Iterable[SparseVec] = (), irredundant: bool = False):
-        vs = _dedupe(vertices)
+    def __init__(self, vertices: Iterable[SparseVec], rays: Iterable[SparseVec] = ()):
+        vs = tuple(dict.fromkeys(vertices))
         if not vs:
             raise BadParameter("a polyhedron must have at least one vertex")
         rs = tuple(rays)
@@ -93,7 +83,6 @@ class Polyhedron:
             raise BadParameter("recession rays must be nonzero")
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "rays", rs)
-        object.__setattr__(self, "irredundant", irredundant)
 
     @property
     def bounded(self) -> bool:
@@ -314,11 +303,9 @@ def _prune_rays(rays: Sequence[SparseVec]) -> tuple[SparseVec, ...]:
 def closed_convex_hull(body: SetLike) -> Polyhedron:
     """The closed convex hull as an irredundant polyhedron."""
     points, rays = _generators(body)
-    if isinstance(body, Polyhedron) and body.irredundant:
-        return body
     clean_rays = _prune_rays(rays)
     clean_vertices = _prune_vertices(points, clean_rays)
-    return Polyhedron(clean_vertices, clean_rays, irredundant=True)
+    return Polyhedron(clean_vertices, clean_rays)
 
 
 def irredundant_vertices(body: SetLike) -> PointSet:

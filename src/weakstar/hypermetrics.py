@@ -185,6 +185,8 @@ def metric_d(sigma: SparseVec, tau: SparseVec, cfg: MetricConfig = MetricConfig(
 
 def point_body_distance(sigma: SparseVec, body: Polyhedron, cfg: MetricConfig = MetricConfig()) -> Fraction:
     """min over the polytope of metric_d to sigma; the one-point ``distances_to_body``."""
+    if not all(cfg.contains(point) for point in (sigma, *body.vertices)):
+        raise NotInNormalizingSet("the point and the body must lie in the normalizing set")
     return distances_to_body([sigma], body, cfg)[0]
 
 

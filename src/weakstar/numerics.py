@@ -31,10 +31,11 @@ starts feasible, and its phase 1 makes no pivot.
 
 Every outcome carries an exactly checkable witness and is re-verified, in
 ``Fraction`` arithmetic against the caller's unmodified rows, before being
-returned; an optimum is proved by an exact dual certificate on those rows.  A
-failed check raises ``CertificateError`` explicitly, so the checks also run
-under ``python -O``.  A rational literal has at most ``LITERAL_DIGITS_MAX``
-digits in its numerator and in its denominator.
+returned; an optimum is proved by an exact dual certificate on those rows.
+Both certificates use one multiplier rule: the multipliers are read off in
+one place and sign-checked in one.  A failed check raises ``CertificateError``
+explicitly, so the checks also run under ``python -O``.  A rational literal
+has at most ``LITERAL_DIGITS_MAX`` digits in its numerator and denominator.
 """
 
 from __future__ import annotations
@@ -387,7 +388,6 @@ class _Simplex:
         self.ub: list[Fraction | None] = [None if u is None else u - low for u, low in zip(self.upp, self.low)]
         self.ub.extend([None] * (self.ncols - n))
         self.flipped = [False] * self.ncols
-        self.dropped_rows: list[int] = []
         self.live_rows = list(range(m))
 
     def _reduce(self, i: int):
@@ -417,7 +417,7 @@ class _Simplex:
 
     # -- pivoting ------------------------------------------------------------
 
-    def _pivot(self, r: int, e: int, update_costs: bool = True):
+    def _pivot(self, r: int, e: int):
         """Make column e basic in row r.
 
         The pivot row, divided by its entry in column e, is ``T[r] / T[r][e]``
@@ -446,13 +446,12 @@ class _Simplex:
                 self.b[i] = self.b[i] * p - f * pb
                 self.den[i] *= p
                 self._reduce(i)
-        if update_costs:
-            f = self.d[e]
-            if f:
-                d = [x * p for x in self.d] if p != 1 else list(self.d)
-                for j, y in support:
-                    d[j] -= f * y
-                self.d, self.dden = _lowest_terms(d, self.dden * p)
+        f = self.d[e]
+        if f:
+            d = [x * p for x in self.d] if p != 1 else list(self.d)
+            for j, y in support:
+                d[j] -= f * y
+            self.d, self.dden = _lowest_terms(d, self.dden * p)
         self.basis[r] = e
 
     def _flip_nonbasic(self, e: int):
@@ -592,7 +591,9 @@ class _Simplex:
         x = self._assignment_shifted()
         infeas = sum((x[j] for j in range(self.first_art, self.ncols)), Fraction(0))
         if infeas > 0:
-            return self._extract_infeasible()
+            mult = self._multipliers(phase1_cost)
+            self._check_infeasibility(mult)
+            return BoundedInfeasible(mult)
         self._evict_artificials()
 
         col_cost = [Fraction(0)] * self.ncols
@@ -606,7 +607,7 @@ class _Simplex:
 
         values = self._structural_values()
         self._check_feasible_point(values)
-        self._check_optimal_bound(values)
+        self._check_optimal_bound(values, self._multipliers(col_cost))
         raw = sum((c * x for c, x in zip(self.cost, values) if c), Fraction(0))
         return BoundedOptimal(-raw, dict(zip(self.varkeys, values)))
 
@@ -622,25 +623,21 @@ class _Simplex:
                     break
             if target is None:
                 self.live_rows.remove(i)
-                self.dropped_rows.append(i)
             else:
-                self._pivot(i, target, update_costs=False)
+                self._pivot(i, target)
 
-    def _extract_infeasible(self) -> BoundedInfeasible:
-        m = len(self.caller_rows)
-        mult = [Fraction(0)] * m
-        for i in self.live_rows:
-            a = self.art_col[i]
-            if a is not None:
-                y = Fraction(1) - self._cost(a)
-            else:
-                s = self.slack_col[i]
-                if s is None:
-                    raise CertificateError("row has neither an artificial nor a slack column")
-                y = -self._cost(s)
-            mult[i] = y * self.row_sign[i]
-        self._check_infeasibility(mult)
-        return BoundedInfeasible(mult)
+    def _multipliers(self, col_cost: list[Fraction]) -> list[Fraction]:
+        """The row multipliers ``y`` at the current reduced costs of ``col_cost``.
+
+        ``y_i`` is ``row_sign[i]`` times the cost minus the reduced cost of row
+        i's artificial column, or of its slack column when it has none.
+        """
+        mult = []
+        for i, sign in enumerate(self.row_sign):
+            col = self.art_col[i] if self.art_col[i] is not None else self.slack_col[i]
+            y = col_cost[col] - self._cost(col) if col_cost[col] else -self._cost(col)
+            mult.append(y * sign)
+        return mult
 
     # -- exact self-checks on the caller's rows ------------------------------
 
@@ -653,28 +650,36 @@ class _Simplex:
             if (rel == LE and lhs > rhs) or (rel == GE and lhs < rhs) or (rel == EQ and lhs != rhs):
                 raise CertificateError("row violation in optimal witness")
 
-    def _check_optimal_bound(self, values: Sequence[Fraction]):
-        """Certify optimality with an exact dual solution of the caller's program.
-
-        ``y_i`` is minus the final reduced cost of row i's artificial or slack
-        column, times ``row_sign[i]``.  It must have the sign documented on
-        ``BoundedInfeasible`` and be zero unless row i is tight at ``values``;
-        with ``r = cost - sum_i y_i a_i``, ``r_j > 0`` only at a lower bound and
-        ``r_j < 0`` only at a finite upper bound.  That proves weak duality:
-        every feasible x has ``cost . x >= cost . values``.
-        """
-        reduced = list(self.cost)
-        for i, (coeffs, rel, rhs) in enumerate(self.caller_rows):
-            col = self.art_col[i] if self.art_col[i] is not None else self.slack_col[i]
-            y = -self._cost(col) * self.row_sign[i]
+    def _combine(self, mult: Sequence[Fraction]) -> tuple[dict[int, Fraction], Fraction]:
+        """``(sum_i y_i a_i, sum_i y_i b_i)``, once each ``y_i`` has the sign documented on ``BoundedInfeasible``."""
+        combined: dict[int, Fraction] = {}
+        total = Fraction(0)
+        for y, (coeffs, rel, rhs) in zip(mult, self.caller_rows):
             if not y:
                 continue
             if (rel == LE and y > 0) or (rel == GE and y < 0):
-                raise CertificateError(f"dual multiplier sign error on {rel} row")
-            if _dot(coeffs, values) != rhs:
-                raise CertificateError("nonzero dual multiplier on a row that is not tight")
+                raise CertificateError(f"multiplier sign error on {rel} row")
             for j, a in coeffs.items():
-                reduced[j] -= y * a
+                combined[j] = combined.get(j, 0) + y * a
+            total += y * rhs
+        return combined, total
+
+    def _check_optimal_bound(self, values: Sequence[Fraction], mult: Sequence[Fraction]):
+        """Certify optimality with the exact dual solution ``mult`` of the caller's program.
+
+        ``y_i`` must be zero unless row i is tight at ``values``; with
+        ``r = cost - sum_i y_i a_i``, ``r_j > 0`` only at a lower bound and
+        ``r_j < 0`` only at a finite upper bound.  That proves weak duality:
+        every feasible x has ``cost . x >= cost . values``.  As ``values`` is
+        feasible, each ``y_i (a_i . values - b_i)`` is nonnegative, so their sum
+        is zero exactly when every row with ``y_i != 0`` is tight.
+        """
+        combined, total = self._combine(mult)
+        if _dot(combined, values) != total:
+            raise CertificateError("nonzero dual multiplier on a row that is not tight")
+        reduced = list(self.cost)
+        for j, g in combined.items():
+            reduced[j] -= g
         for j, r in enumerate(reduced):
             if r > 0 and values[j] != self.low[j]:
                 raise CertificateError("positive reduced cost away from lower bound")
@@ -682,17 +687,7 @@ class _Simplex:
                 raise CertificateError("negative reduced cost away from upper bound")
 
     def _check_infeasibility(self, mult: Sequence[Fraction]):
-        combined: dict[int, Fraction] = {}
-        total = Fraction(0)
-        for y, (coeffs, rel, rhs) in zip(mult, self.caller_rows):
-            if rel == LE and y > 0:
-                raise CertificateError("certificate sign error on <= row")
-            if rel == GE and y < 0:
-                raise CertificateError("certificate sign error on >= row")
-            if y:
-                for j, a in coeffs.items():
-                    combined[j] = combined.get(j, 0) + y * a
-                total += y * rhs
+        combined, total = self._combine(mult)
         # Fold variable bounds into the contradiction margin.
         for j, g in combined.items():
             if g > 0:

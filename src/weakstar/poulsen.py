@@ -308,7 +308,7 @@ def construct(
                 certificate=certificate,
             )
         )
-    result = Polyhedron(vertices, irredundant=True)
+    result = Polyhedron(vertices)
     trace = PoulsenTrace(
         epsilon=eps,
         radius=polar.radius,

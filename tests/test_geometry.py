@@ -107,7 +107,7 @@ class TestHull:
     def test_middle_point_redundant(self):
         hull = closed_convex_hull(PointSet([ZERO, E0, E0.scale(F(1, 2))]))
         assert set(hull.vertices) == {ZERO, E0}
-        assert hull.irredundant and not hull.rays
+        assert closed_convex_hull(hull) == hull and not hull.rays
 
     def test_singleton(self):
         hull = closed_convex_hull(PointSet([pt(2, 3)]))

@@ -261,6 +261,15 @@ class TestHausdorffFull:
         target = dual(0, F(-1, 2))
         assert point_body_distance(sigma, Polyhedron([target])) == metric_d(sigma, target)
 
+    def test_point_body_distance_needs_the_normalizing_set(self):
+        # Defined through metric_d, it has metric_d's precondition on both sides.
+        with pytest.raises(NotInNormalizingSet):
+            point_body_distance(E0.scale(5), Polyhedron([ZERO]))
+        with pytest.raises(NotInNormalizingSet):
+            point_body_distance(ZERO, Polyhedron([ZERO, E0.scale(5)]))
+        cfg = MetricConfig(normalizing_set=Polyhedron([ZERO, E0.scale(5)]))
+        assert point_body_distance(E0.scale(5), Polyhedron([ZERO]), cfg) == metric_d(E0.scale(5), ZERO, cfg)
+
     @given(
         points=st.lists(st.builds(ball_point, st.lists(coordinate, min_size=1, max_size=5)), max_size=4),
         b=ball_point_sets,

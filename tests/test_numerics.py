@@ -384,8 +384,8 @@ from weakstar.errors import CertificateError
 
 pivot = numerics._Simplex._pivot
 
-def corrupted(self, r, e, update_costs=True):
-    pivot(self, r, e, update_costs)
+def corrupted(self, r, e):
+    pivot(self, r, e)
     self.b[r] += self.den[r]
 
 problem = (["x", "y"], {"x": F(1), "y": F(1)},

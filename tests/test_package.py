@@ -1,9 +1,19 @@
-"""The package root re-exports exactly each module's ``__all__``, in module order."""
+"""The package surface.
+
+The root re-exports exactly each module's ``__all__``, in module order;
+deleted names stay deleted; and every entry point the benchmark tracer wraps
+still exists under its name.
+"""
 
 import ast
 import dataclasses
+import importlib
+import importlib.util
 import inspect
+import sys
 from pathlib import Path
+
+import pytest
 
 import weakstar
 from weakstar import errors, faces, geometry, hypermetrics, limits, numerics, poulsen
@@ -78,3 +88,53 @@ def test_no_assert_in_the_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} uses assert on lines {lines}"
+
+
+def test_polyhedron_holds_only_its_generators():
+    # ``closed_convex_hull`` alone decides irredundancy; a body carries no flag.
+    assert [f.name for f in dataclasses.fields(geometry.Polyhedron)] == ["vertices", "rays"]
+    with pytest.raises(TypeError):
+        geometry.Polyhedron([numerics.SparseVec.zero()], irredundant=True)
+
+
+def test_simplex_has_one_multiplier_rule_and_no_dead_state():
+    assert not hasattr(numerics._Simplex, "_extract_infeasible")
+    assert list(inspect.signature(numerics._Simplex._pivot).parameters) == ["self", "r", "e"]
+    rows = [({"x": 1}, "=", 1), ({"x": 1}, "=", 1)]  # the duplicate row is dropped
+    solver = numerics._Simplex(["x"], {"x": 1}, rows, {}, {})
+    assert solver.run().value == 1
+    assert not hasattr(solver, "dropped_rows")
+
+
+def _tracing_module(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_entry_point_resolves(monkeypatch):
+    # The tracer rebinds each name by attribute lookup, so a renamed or deleted
+    # function would crash every traced benchmark run.
+    tracing = _tracing_module(monkeypatch)
+    missing = [
+        f"{layer}.{name}"
+        for layer, name, _ in tracing.ENTRY_POINTS
+        if not callable(getattr(importlib.import_module(f"weakstar.{layer}"), name, None))
+    ]
+    assert not missing
+
+
+def test_command_dispatch_reads_the_module_attributes(monkeypatch):
+    # A rebound ``cmd_*`` must be the one the parser dispatches to, so the
+    # table from command to function is built inside ``build_parser``.
+    from weakstar import cli
+
+    tracing = _tracing_module(monkeypatch)
+    argv = {"poulsen": ["t", "--epsilon", "1", "--steps", "1"], "distance": ["a", "b"]}
+    for command in tracing.COMMANDS:
+        sentinel = object()
+        monkeypatch.setattr(cli, f"cmd_{command}", sentinel)
+        assert cli.build_parser().parse_args([command, *argv.get(command, ["x"])]).func is sentinel
