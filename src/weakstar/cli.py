@@ -22,6 +22,7 @@ import json
 import re
 import sys
 from dataclasses import fields, is_dataclass
+from decimal import Context
 from fractions import Fraction
 from math import inf
 from pathlib import Path
@@ -274,7 +275,12 @@ def format_distance(value: Union[Fraction, float]) -> str:
 
 
 def approx_text(value: Union[Fraction, float]) -> str:
-    return "inf" if value == inf else f"{float(value):.10g}"
+    if value == inf:
+        return "inf"
+    if abs(value) <= sys.float_info.max:
+        return f"{float(value):.10g}"
+    # float() overflows past its range; dividing in 10-digit decimal arithmetic does not.
+    return f"{Context(prec=10).divide(value.numerator, value.denominator).normalize():.10g}"
 
 
 def _print_approx(args: argparse.Namespace, label: str, value: Union[Fraction, float]) -> None:
@@ -367,7 +373,6 @@ def cmd_poulsen(args: argparse.Namespace) -> int:
 
 
 def _trace_to_json(trace) -> dict:
-    state = trace.schedule_state
     return {
         "kind": "trace",
         "epsilon": rational_to_str(trace.epsilon),
@@ -375,8 +380,8 @@ def _trace_to_json(trace) -> dict:
         "variant": trace.variant.value,
         "seed": trace.seed,
         "steps": [_fields_to_json(step) for step in trace.steps],
-        "schedule_queue": [vec_to_json(v) for v in state.queue],
-        "schedule_cursor": {"block": state.block, "stage": state.stage, "position": state.position},
+        "schedule_queue": [vec_to_json(v) for v in trace.schedule_queue],
+        "schedule_cursor": dict(zip(("block", "stage", "position"), trace.schedule_cursor)),
     }
 
 
@@ -442,10 +447,9 @@ def cmd_limits(args: argparse.Namespace) -> int:
         raise ParseError(f"{args.manifest}: 'sets' exceeds the limit of {GENERATORS_MAX} entries")
     set_paths = [str(base / p) for p in raw_sets]
     bodies = [load_body(p) for p in set_paths]
-    try:
-        tolerance = as_rational(doc.get("tolerance", "0"))
-    except TypeError as exc:
-        raise ParseError(f"{args.manifest}: 'tolerance' must be a rational string") from exc
+    if not isinstance(doc.get("tolerance", "0"), str):
+        raise ParseError(f"{args.manifest}: 'tolerance' must be a rational string")
+    tolerance = as_rational(doc.get("tolerance", "0"))
     stabilization = doc.get("stabilization_index", 0)
     if not isinstance(stabilization, int) or isinstance(stabilization, bool):
         raise ParseError(f"{args.manifest}: 'stabilization_index' must be an integer")

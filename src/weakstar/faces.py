@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count, islice, takewhile
 from typing import Iterator, Optional, Sequence
 
 from .errors import BadParameter, NotAVertex, NotInNormalizingSet, UnboundedInput
@@ -134,48 +135,36 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-def convex_combinations(
-    vertices: Sequence[SparseVec], denominator: int, newest_only: bool = False
-) -> Iterator[SparseVec]:
-    """The combinations of ``vertices`` with weights ``c_i / denominator``, in composition order.
+def fresh_combinations(
+    vertices: Sequence[SparseVec], first: int
+) -> Iterator[Optional[tuple[SparseVec, tuple[int, int, int]]]]:
+    """Every rational convex combination of growing prefixes of ``vertices``, once.
 
-    With ``newest_only`` only combinations that give the last vertex a
-    positive weight are emitted; the rest are combinations of the earlier
-    vertices alone.
+    Stage m is ``vertices[:first + m]``; block b covers stage m with weights
+    ``c_i / (b - m)`` in composition order, from block 2 on (block 1, the first
+    ``first`` vertices, counts as seen).  Each new point comes with its cursor
+    (block, stage, position), position counting the stage's combinations
+    consumed.  ``len(vertices)`` is read whenever the walk moves on a stage, so
+    a vertex appended between draws opens a new stage.  While the list holds a
+    single point no stage can ever produce a new one, and ``None`` is yielded.
     """
-    for combo in compositions(denominator, len(vertices)):
-        if newest_only and combo[-1] == 0:
-            continue
-        point = SparseVec.zero()
-        for coeff, v in zip(combo, vertices):
-            if coeff:
-                point = point + v.scale(Fraction(coeff, denominator))
-        yield point
-
-
-def _sample_points(vertices: Sequence[SparseVec], budget: int) -> Iterator[SparseVec]:
-    """Deterministic rational convex combinations, coarse denominators first.
-
-    Stops early if a whole denominator layer adds no new point (the body is a
-    single point, so finer layers cannot add one either).
-    """
-    seen: set[SparseVec] = set()
-    emitted = 0
-    denominator = 1
-    while emitted < budget:
-        layer_grew = False
-        for point in convex_combinations(vertices, denominator):
-            if point in seen:
-                continue
-            seen.add(point)
-            layer_grew = True
-            yield point
-            emitted += 1
-            if emitted >= budget:
-                return
-        if not layer_grew:
-            return
-        denominator += 1
+    while len(vertices) == 1:
+        yield None
+    seen = set(vertices[:first])
+    for block in count(2):
+        stage = 0
+        while stage < min(block, len(vertices) - first + 1):
+            denominator = block - stage
+            # Stages after the first only contribute combinations that use
+            # their newest vertex; the rest re-enumerate the previous stage.
+            run = (combo for combo in compositions(denominator, first + stage) if not stage or combo[-1])
+            for position, combo in enumerate(run, 1):
+                terms = (v.scale(Fraction(c, denominator)) for c, v in zip(combo, vertices) if c)
+                point = sum(terms, SparseVec.zero())
+                if point not in seen:
+                    seen.add(point)
+                    yield point, (block, stage, position)
+            stage += 1
 
 
 def extreme_deviation(
@@ -202,7 +191,10 @@ def extreme_deviation(
         for w in vertices[i + 1 :]:
             upper = max(upper, metric_d(v, w, cfg))
     lower = Fraction(0)
-    for point in _sample_points(vertices, budget):
+    # The vertices come first (they are block 1), then ever finer combinations;
+    # the walk yields None only for a single vertex, which has no other point.
+    walk = takewhile(lambda found: found is not None, fresh_combinations(vertices, len(vertices)))
+    for point in islice(chain(vertices, (p for p, _ in walk)), budget):
         nearest = min(metric_d(point, v, cfg) for v in vertices)
         lower = max(lower, nearest)
     threshold = None

@@ -15,18 +15,18 @@ positive cone, and ``STATE_SPACE`` keeps every vertex a finitely supported
 probability vector by renormalizing the blend.  ``jordan_decompose`` splits a
 point into its positive and negative parts, exactly and disjointly.
 
-The fair candidate scheduler (``SchedulerState`` and ``scheduler_start``,
-``scheduler_next``, ``scheduler_register``) is driven only by ``construct``,
-which records its final state in the trace; it is module-level but not part
-of ``__all__``.
+The fair candidate scheduler ``_Schedule`` is driven only by ``construct``,
+which records its final queue and cursor in the trace.  It walks the rational
+convex combinations of every stage hull with ``faces.fresh_combinations``,
+the generator that also samples ``faces.extreme_deviation``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import deque
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import (
@@ -35,7 +35,7 @@ from .errors import (
     UnboundedInput,
     VariantPreconditionViolated,
 )
-from .faces import ExposureCertificate, convex_combinations, exposure_certificate
+from .faces import ExposureCertificate, exposure_certificate, fresh_combinations
 from .geometry import PolarSpec, Polyhedron, closed_convex_hull, membership, polar_contains
 from .hypermetrics import MetricConfig, hausdorff_full
 from .numerics import RationalLike, SparseVec, as_rational, pair, rational_to_str
@@ -60,94 +60,43 @@ class Variant(Enum):
     STATE_SPACE = "state"
 
 
-@dataclass(frozen=True)
-class SchedulerState:
-    """Snapshot of the fair candidate scheduler.
+class _Schedule:
+    """The fair candidate scheduler driven by ``construct``.
 
-    ``stages`` holds the vertex tuple of every hull seen so far (stage 0 is
-    the starting hull); candidates are rational convex combinations of some
-    stage's vertices, enumerated along diagonal blocks: block b covers stage m
-    with combination denominator b - m.  ``queue`` is the round-robin queue;
-    every served candidate is re-enqueued, so each recurs forever.  The cursor
-    (``block``, ``stage``, ``position``) marks how far the enumeration has
-    been consumed; ``seen`` prevents the same point from being enqueued twice.
+    ``vertices`` is the starting hull's vertices plus one appended vertex per
+    step; ``fresh_combinations`` walks the rational convex combinations of
+    every stage hull.  ``queue`` is the round-robin queue; every served
+    candidate is re-enqueued, so each recurs forever.  ``cursor`` (block,
+    stage, position) marks how far the walk has been consumed.
     """
 
-    stages: tuple[tuple[SparseVec, ...], ...]
-    queue: tuple[SparseVec, ...]
-    seen: frozenset[SparseVec]
-    block: int
-    stage: int
-    position: int
+    def __init__(self, vertices: Sequence[SparseVec]):
+        self.vertices = list(dict.fromkeys(vertices))
+        if not self.vertices:
+            raise BadParameter("the scheduler needs a nonempty generator pool")
+        self.queue = deque(self.vertices)
+        self.cursor = (2, 0, 0)
+        self._walk = fresh_combinations(self.vertices, len(self.vertices))
 
+    def next(self) -> SparseVec:
+        """Serve the head of the queue, re-enqueue it, and admit one new candidate.
 
-def scheduler_start(vertices: Sequence[SparseVec]) -> SchedulerState:
-    """Queue the starting vertices in order; they form block 1 of the enumeration."""
-    pool = tuple(dict.fromkeys(vertices))
-    if not pool:
-        raise BadParameter("the scheduler needs a nonempty generator pool")
-    return SchedulerState(
-        stages=(pool,),
-        queue=pool,
-        seen=frozenset(pool),
-        block=2,
-        stage=0,
-        position=0,
-    )
-
-
-def _next_fresh(state: SchedulerState) -> tuple[Optional[SparseVec], SchedulerState]:
-    """Advance the diagonal enumeration to the next never-enqueued candidate.
-
-    Returns (None, state) when no stage can ever produce a new point (every
-    stage is a single point), leaving the queue as-is.
-    """
-    if all(len(s) == 1 for s in state.stages):
-        return None, state
-    block, stage, position = state.block, state.stage, state.position
-    seen = state.seen
-    while True:
-        if stage >= min(block, len(state.stages)):
-            block, stage, position = block + 1, 0, 0
-            continue
-        denominator = block - stage
-        # Stages after the first only contribute combinations that use their
-        # newest vertex; the rest re-enumerate the previous stage.
-        run = convex_combinations(state.stages[stage], denominator, newest_only=stage > 0)
-        found = None
-        for point in islice(run, position, None):
-            position += 1
-            if point not in seen:
-                found = point
-                break
+        Re-enqueueing makes every served point recur forever; admitting one fresh
+        combination per call walks the whole countable family, so the served
+        sequence is dense in every stage hull while staying fair: over 3p calls
+        from a queue of length p, each queued element is served at least twice.
+        """
+        served = self.queue[0]
+        self.queue.rotate(-1)
+        found = next(self._walk)
         if found is not None:
-            return found, replace(state, seen=seen | {found}, block=block, stage=stage, position=position)
-        stage, position = stage + 1, 0
+            point, self.cursor = found
+            self.queue.append(point)
+        return served
 
-
-def scheduler_next(state: SchedulerState) -> tuple[SparseVec, SchedulerState]:
-    """Serve the head of the queue, re-enqueue it, and admit one new candidate.
-
-    Re-enqueueing makes every served point recur forever; admitting one fresh
-    combination per call walks the whole countable family, so the served
-    sequence is dense in every stage hull while staying fair: over 3p calls
-    from a queue of length p, each queued element is served at least twice.
-    """
-    if not state.queue:
-        raise BadParameter("the scheduler needs a nonempty generator pool")
-    served = state.queue[0]
-    rotated = state.queue[1:] + (served,)
-    fresh, advanced = _next_fresh(state)
-    queue = rotated if fresh is None else rotated + (fresh,)
-    return served, replace(advanced, queue=queue)
-
-
-def scheduler_register(state: SchedulerState, vertices: Sequence[SparseVec]) -> SchedulerState:
-    """Record the next hull's vertex tuple as a new enumeration stage."""
-    pool = tuple(dict.fromkeys(vertices))
-    if not pool:
-        raise BadParameter("a scheduler stage needs at least one vertex")
-    return replace(state, stages=state.stages + (pool,))
+    def add(self, vertex: SparseVec) -> None:
+        """Append the next hull's new vertex; it opens a new enumeration stage."""
+        self.vertices.append(vertex)
 
 
 @dataclass(frozen=True)
@@ -181,7 +130,8 @@ class PoulsenTrace:
     variant: Variant
     seed: int
     steps: tuple[PoulsenStep, ...]
-    schedule_state: SchedulerState
+    schedule_queue: tuple[SparseVec, ...]
+    schedule_cursor: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -275,9 +225,8 @@ def construct(
         if why is not None:
             raise VariantPreconditionViolated(f"target vertex {v!r} {why}")
 
-    vertices: list[SparseVec] = list(hull.vertices)
-    state = scheduler_start(vertices)
-    used = max((max(v.support) for v in vertices if v.support), default=-1)
+    schedule = _Schedule(hull.vertices)
+    used = max((max(v.support) for v in hull.vertices if v.support), default=-1)
     blends: list[Fraction] = []
     records: list[PoulsenStep] = []
     for n in range(1, steps + 1):
@@ -287,13 +236,12 @@ def construct(
         used = fresh
         spike = SparseVec.basis(fresh, scale)
         functional = SparseVec.basis(fresh, 1 / scale)
-        base, state = scheduler_next(state)
+        base = schedule.next()
         omega = _blend(base, spike, lam, scale, variant)
         # The fresh coordinate pairs to lam on omega and to 0 on every other
         # vertex, so the exposure margin is exactly lam.
         certificate = ExposureCertificate(omega, functional, lam)
-        vertices.append(omega)
-        state = scheduler_register(state, vertices)
+        schedule.add(omega)
         blends.append(lam)
         records.append(
             PoulsenStep(
@@ -308,14 +256,15 @@ def construct(
                 certificate=certificate,
             )
         )
-    result = Polyhedron(vertices)
+    result = Polyhedron(schedule.vertices)
     trace = PoulsenTrace(
         epsilon=eps,
         radius=polar.radius,
         variant=variant,
         seed=seed,
         steps=tuple(records),
-        schedule_state=state,
+        schedule_queue=tuple(schedule.queue),
+        schedule_cursor=schedule.cursor,
     )
     return result, trace
 

@@ -6,6 +6,7 @@ import json
 import random
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,17 @@ class TestDistance:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "1/4"
         assert "non-authoritative" in lines[1] and "0.25" in lines[1]
+
+    def test_approx_renders_a_value_past_the_float_range(self, tmp_path, capsys):
+        huge = write_doc(tmp_path / "huge.json", points_doc({0: "1" + "0" * 400}))
+        origin = write_doc(tmp_path / "origin.json", points_doc({}))
+        out = tmp_path / "report"
+        assert cli.main(["distance", huge, origin, "--direction", "e0", "--approx", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "approx distance (non-authoritative): 1e+400"
+        doc = json.loads((out / "distance.json").read_text())
+        assert doc["approx_non_authoritative"] == "1e+400"
+        assert cli.approx_text(-Fraction(10**400, 3)) == "-3.333333333e+399"
 
     def test_report_embeds_manifest(self, files, tmp_path, capsys):
         out = tmp_path / "report"
@@ -361,7 +373,7 @@ class TestLimits:
         assert report["verdicts"][1]["in_lower_limit"] is False
         assert report["verdicts"][1]["in_upper_limit"] is True
 
-    @pytest.mark.parametrize("tolerance", [True, 0.5])
+    @pytest.mark.parametrize("tolerance", [True, 0.5, 1])
     def test_non_string_tolerance_is_a_parse_error(self, tmp_path, capsys, tolerance):
         candidates = write_doc(tmp_path / "cands.json", points_doc({}))
         query = self.nested_query(tmp_path, {"tolerance": tolerance, "candidates": "cands.json"})

@@ -1,11 +1,14 @@
 """Tests for exposure certificates, deviation estimates, and generator families."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _schedule_oracle as oracle
+from weakstar import faces
 from weakstar.errors import BadParameter, NotAVertex, NotInNormalizingSet, UnboundedInput
 from weakstar.faces import (
     DeviationEstimate,
@@ -19,9 +22,10 @@ from weakstar.faces import (
     inscribed_polygon,
     stadium_family,
 )
-from weakstar.geometry import PointSet, Polyhedron, closed_convex_hull
+from weakstar.geometry import PointSet, PolarSpec, Polyhedron, closed_convex_hull
 from weakstar.hypermetrics import MetricConfig, metric_d, pseudometric_dH
 from weakstar.numerics import SparseVec, pair
+from weakstar.poulsen import _Schedule
 
 F = Fraction
 
@@ -198,6 +202,46 @@ class TestExtremeDeviation:
             assert m == 1 or (m - 1) * est.lower < 1
         else:
             assert est.isolation_threshold is None
+
+
+class TestFreshCombinationsDifferential:
+    """The one walk reproduces both walkers it replaced (``_schedule_oracle``)."""
+
+    POINTS = st.tuples(st.sampled_from((-2, -1, 0, 1, 2)), st.sampled_from((-1, 0, F(1, 2), 1)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(POINTS, min_size=1, max_size=16, unique=True), st.integers(1, 4))
+    def test_scheduler_serves_as_before(self, coords, first):
+        points = [vec(*c) for c in coords]
+        first = min(first, len(points))
+        state = oracle.scheduler_start(points[:first])
+        schedule = _Schedule(points[:first])
+        # As in ``construct``: one draw, then one appended vertex, per step.
+        for k in range(first, len(points)):
+            expected, state = oracle.scheduler_next(state)
+            assert schedule.next() == expected
+            state = oracle.scheduler_register(state, points[: k + 1])
+            schedule.add(points[k])
+        assert tuple(schedule.queue) == state.queue
+        assert schedule.cursor == (state.block, state.stage, state.position)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(POINTS, min_size=1, max_size=5, unique=True), st.integers(1, 16))
+    def test_deviation_samples_as_before(self, coords, budget):
+        body = Polyhedron([vec(*c) for c in coords])
+        cfg = MetricConfig(normalizing_set=PolarSpec(3))
+        vertices = closed_convex_hull(body).vertices
+        calls = []
+
+        def recording_metric_d(a, b, config):
+            calls.append((a, b))
+            return metric_d(a, b, config)
+
+        with mock.patch.object(faces, "metric_d", recording_metric_d):
+            extreme_deviation(body, cfg, budget)
+        pairs = [(v, w) for i, v in enumerate(vertices) for w in vertices[i + 1 :]]
+        samples = [(p, v) for p in oracle._sample_points(vertices, budget) for v in vertices]
+        assert calls == pairs + samples
 
 
 class TestStadiumFamily:

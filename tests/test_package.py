@@ -27,10 +27,7 @@ UNEXPORTED = {
     "support_value",
     "path_combine",
     "compositions",
-    "scheduler_start",
-    "scheduler_next",
-    "scheduler_register",
-    "SchedulerState",
+    "fresh_combinations",
     "rational_from_str",
     "ClopenExpr",
     "Rational",
@@ -104,6 +101,16 @@ def test_simplex_has_one_multiplier_rule_and_no_dead_state():
     solver = numerics._Simplex(["x"], {"x": 1}, rows, {}, {})
     assert solver.run().value == 1
     assert not hasattr(solver, "dropped_rows")
+
+
+def test_one_convex_combination_walk():
+    # ``faces.fresh_combinations`` serves both the scheduler and the deviation
+    # sampler; the scheduler keeps no per-stage vertex copies.
+    for name in ("SchedulerState", "scheduler_start", "scheduler_next", "scheduler_register", "_next_fresh"):
+        assert not hasattr(poulsen, name), name
+    for name in ("convex_combinations", "_sample_points"):
+        assert not hasattr(faces, name), name
+    assert "schedule_state" not in [f.name for f in dataclasses.fields(poulsen.PoulsenTrace)]
 
 
 def _tracing_module(monkeypatch):

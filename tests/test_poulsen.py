@@ -24,11 +24,9 @@ from weakstar.numerics import SparseVec, l1_norm, pair
 from weakstar.poulsen import (
     PoulsenTrace,
     Variant,
+    _Schedule,
     construct,
     jordan_decompose,
-    scheduler_next,
-    scheduler_register,
-    scheduler_start,
     verify_trace,
 )
 
@@ -57,79 +55,62 @@ class TestVariant:
 
 class TestScheduler:
     def test_first_served_is_first_vertex(self):
-        state = scheduler_start(SQUARE)
-        served, _ = scheduler_next(state)
-        assert served == SQUARE[0]
+        assert _Schedule(SQUARE).next() == SQUARE[0]
 
     def test_initial_round_serves_vertices_in_order(self):
-        state = scheduler_start(SQUARE)
-        served = []
-        for _ in range(4):
-            point, state = scheduler_next(state)
-            served.append(point)
+        schedule = _Schedule(SQUARE)
+        served = [schedule.next() for _ in range(4)]
         assert served == SQUARE
 
     def test_each_element_recurs_within_three_rounds(self):
-        state = scheduler_start(SQUARE)
-        pool = len(state.queue)
+        schedule = _Schedule(SQUARE)
+        pool = len(schedule.queue)
         counts = {v: 0 for v in SQUARE}
         for _ in range(3 * pool):
-            point, state = scheduler_next(state)
+            point = schedule.next()
             if point in counts:
                 counts[point] += 1
         assert all(n >= 2 for n in counts.values())
 
     def test_deterministic_sequences(self):
-        a = scheduler_start(SQUARE)
-        b = scheduler_start(SQUARE)
+        a = _Schedule(SQUARE)
+        b = _Schedule(SQUARE)
         for _ in range(10):
-            pa, a = scheduler_next(a)
-            pb, b = scheduler_next(b)
-            assert pa == pb
-        assert a == b
+            assert a.next() == b.next()
+        assert (a.queue, a.cursor, a.vertices) == (b.queue, b.cursor, b.vertices)
 
     def test_blends_eventually_served(self):
-        state = scheduler_start(SQUARE)
-        served = []
-        for _ in range(6):
-            point, state = scheduler_next(state)
-            served.append(point)
+        schedule = _Schedule(SQUARE)
+        served = [schedule.next() for _ in range(6)]
         assert served[4] == SQUARE[0]
         midpoint = (SQUARE[0] + SQUARE[1]).scale(F(1, 2))
         assert served[5] == midpoint
 
     def test_candidates_stay_inside_the_hull(self):
         hull = Polyhedron(SQUARE)
-        state = scheduler_start(SQUARE)
+        schedule = _Schedule(SQUARE)
         for _ in range(12):
-            point, state = scheduler_next(state)
-            assert membership(point, hull)
+            assert membership(schedule.next(), hull)
 
     def test_singleton_pool_never_invents_points(self):
         origin = SparseVec.zero()
-        state = scheduler_start([origin])
+        schedule = _Schedule([origin])
         for _ in range(6):
-            point, state = scheduler_next(state)
-            assert point == origin
-        assert state.queue == (origin,)
+            assert schedule.next() == origin
+        assert list(schedule.queue) == [origin]
+        assert schedule.cursor == (2, 0, 0)
 
     def test_registered_stage_feeds_new_blends(self):
         origin = SparseVec.zero()
         spike = SparseVec.basis(0, F(1, 2))
-        state = scheduler_start([origin])
-        state = scheduler_register(state, [origin, spike])
-        served = set()
-        for _ in range(8):
-            point, state = scheduler_next(state)
-            served.add(point)
+        schedule = _Schedule([origin])
+        schedule.add(spike)
+        served = {schedule.next() for _ in range(8)}
         assert spike in served or any(p.get(0) > 0 for p in served)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(BadParameter):
-            scheduler_start([])
-        state = scheduler_start(SQUARE)
-        with pytest.raises(BadParameter):
-            scheduler_register(state, [])
+            _Schedule([])
 
 
 class TestConstructSchedule:
