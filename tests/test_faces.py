@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _schedule_oracle as oracle
@@ -211,6 +211,7 @@ class TestFreshCombinationsDifferential:
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(POINTS, min_size=1, max_size=16, unique=True), st.integers(1, 4))
+    @example([(0, 0), (1, 0), (0, 1), (-1, F(1, 2))], 1)  # a one-vertex start draws nothing new first
     def test_scheduler_serves_as_before(self, coords, first):
         points = [vec(*c) for c in coords]
         first = min(first, len(points))
