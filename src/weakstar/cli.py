@@ -277,9 +277,10 @@ def format_distance(value: Union[Fraction, float]) -> str:
 def approx_text(value: Union[Fraction, float]) -> str:
     if value == inf:
         return "inf"
-    if abs(value) <= sys.float_info.max:
+    if not value or sys.float_info.min <= abs(value) <= sys.float_info.max:
         return f"{float(value):.10g}"
-    # float() overflows past its range; dividing in 10-digit decimal arithmetic does not.
+    # float() overflows past its range and silently gives 0 below it; dividing
+    # in 10-digit decimal arithmetic does neither.
     return f"{Context(prec=10).divide(value.numerator, value.denominator).normalize():.10g}"
 
 

@@ -29,13 +29,14 @@ shifted to zero (or a ``>=`` row whose right side stays nonpositive) starts on
 its slack and needs no artificial column; a program made only of such rows
 starts feasible, and its phase 1 makes no pivot.
 
-Every outcome carries an exactly checkable witness and is re-verified, in
-``Fraction`` arithmetic against the caller's unmodified rows, before being
-returned; an optimum is proved by an exact dual certificate on those rows.
-Both certificates use one multiplier rule: the multipliers are read off in
-one place and sign-checked in one.  A failed check raises ``CertificateError``
-explicitly, so the checks also run under ``python -O``.  A rational literal
-has at most ``LITERAL_DIGITS_MAX`` digits in its numerator and denominator.
+Every outcome carries an exactly checkable witness and is checked exactly, in
+integer arithmetic against the caller's rows (encoded once at entry and never
+modified), before being returned; an optimum is proved by an exact dual
+certificate on those rows.  Both certificates use one multiplier rule: the
+multipliers are read off in one place and sign-checked in one.  A failed
+check raises ``CertificateError`` explicitly, so the checks also run under
+``python -O``.  A rational literal has at most ``LITERAL_DIGITS_MAX`` digits
+in its numerator and denominator.
 """
 
 from __future__ import annotations
@@ -271,9 +272,13 @@ def solve_bounded(
     return _Simplex(variables, objective, rows, lower or {}, upper or {}).run()
 
 
-def _dot(coeffs: Mapping[int, Fraction], x: Sequence[Fraction]) -> Fraction:
-    """``sum_j coeffs[j] * x[j]`` over a sparse row's stored (nonzero) entries."""
-    return sum((a * x[j] for j, a in coeffs.items()), Fraction(0))
+def _over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over their least common positive denominator."""
+    # A list, not a generator: a generator-fed argument tuple is grown by
+    # resizing, and once freed it stays in the interpreter's tuple free lists
+    # until a full garbage collection, which raises peak memory.
+    den = lcm(*[q.denominator for q in values])
+    return [q.numerator * (den // q.denominator) for q in values], den
 
 
 def _lowest_terms(nums: list[int], den: int) -> tuple[list[int], int]:
@@ -291,10 +296,16 @@ class _Simplex:
     side ``b[i] / den[i]``: integer numerators over one positive denominator,
     kept in lowest terms.  The reduced-cost row is ``d / dden`` in the same
     form.  All pivoting, flipping and comparison is exact integer arithmetic;
-    ``Fraction`` values are formed only when a solution is read off.  The
-    tableau is built directly from ``caller_rows``, the caller's rows stored
-    sparse (``{column: Fraction}``, zeros dropped), which never change; every
-    ``_check_*`` certifies against them in the caller's variables.
+    ``Fraction`` values are formed only when a solution is read off.
+
+    ``__init__`` encodes the caller's program once, and nothing changes it
+    afterwards: each row as ``(nums, rel, rhs, den)``, the sparse integer
+    numerators ``{column: int}`` (zeros dropped) and the right side over one
+    positive denominator; the bounds as numerators ``low`` and ``upp`` (``None``
+    for no upper bound) over ``bden``; the cost as ``cost_nums`` over
+    ``cost_den``.  The tableau is built from that encoding, and every
+    ``_check_*`` certifies against it, in integers and in the caller's
+    variables.
     """
 
     def __init__(self, variables, objective, rows, lower, upper):
@@ -304,11 +315,14 @@ class _Simplex:
         self.nstruct = len(self.varkeys)
         index = {v: j for j, v in enumerate(self.varkeys)}
 
-        self.low = [as_rational(lower.get(v, 0)) for v in self.varkeys]
-        self.upp: list[Fraction | None] = []
+        low = [as_rational(lower.get(v, 0)) for v in self.varkeys]
+        upp: list[Fraction | None] = []
         for v in self.varkeys:
             u = upper.get(v)
-            self.upp.append(None if u is None else as_rational(u))
+            upp.append(None if u is None else as_rational(u))
+        self.bden = lcm(*[q.denominator for q in low], *[q.denominator for q in upp if q is not None])
+        self.low = [q.numerator * (self.bden // q.denominator) for q in low]
+        self.upp = [None if q is None else q.numerator * (self.bden // q.denominator) for q in upp]
         for j, u in enumerate(self.upp):
             if u is not None and u < self.low[j]:
                 raise ValueError(f"variable {self.varkeys[j]!r} has empty bound interval")
@@ -319,19 +333,25 @@ class _Simplex:
             if v not in index:
                 raise ValueError(f"objective mentions unknown variable {v!r}")
             self.cost[index[v]] = -as_rational(coef)
+        self.cost_nums, self.cost_den = _over_one_denominator(self.cost)
 
-        self.caller_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
+        self.rows: list[tuple[dict[int, int], str, int, int]] = []
         for coeffs, rel, rhs in rows:
             if rel not in _RELATIONS:
                 raise ValueError(f"bad relation {rel!r}")
-            sparse = {}
+            cols, nums, dens = [], [], []
             for v, coef in coeffs.items():
                 if v not in index:
                     raise ValueError(f"row mentions unknown variable {v!r}")
                 q = as_rational(coef)
                 if q:
-                    sparse[index[v]] = q
-            self.caller_rows.append((sparse, rel, as_rational(rhs)))
+                    cols.append(index[v])
+                    nums.append(q.numerator)
+                    dens.append(q.denominator)
+            rhs = as_rational(rhs)
+            den = lcm(rhs.denominator, *dens)
+            sparse = dict(zip(cols, nums)) if den == 1 else {j: a * (den // q) for j, a, q in zip(cols, nums, dens)}
+            self.rows.append((sparse, rel, rhs.numerator * (den // rhs.denominator), den))
 
     # -- setup ---------------------------------------------------------------
 
@@ -342,20 +362,24 @@ class _Simplex:
         (+1 on <=, -1 on >=), with a nonnegative right side.  Where the signed
         slack is not +1, an artificial column (in row order) starts basic.
         """
-        m = len(self.caller_rows)
+        m = len(self.rows)
         n = self.nstruct
         self.slack_col: list[int | None] = [None] * m
         self.art_col: list[int | None] = [None] * m
         self.basis: list[int] = [-1] * m
         self.row_sign: list[int] = []
-        self.first_art = n + sum(rel != EQ for _, rel, _ in self.caller_rows)
+        self.first_art = n + sum(rel != EQ for _, rel, _, _ in self.rows)
         next_slack, next_art = n, self.first_art
-        rhs_signed: list[Fraction] = []
-        for i, (coeffs, rel, rhs) in enumerate(self.caller_rows):
-            b = rhs - sum(a * self.low[j] for j, a in coeffs.items() if self.low[j])
+        # Row i times row_sign[i] is kept over den * |scale|: its right side is b
+        # and each numerator is multiplied by scale, which carries the sign and
+        # is bden when a nonzero lower bound shifts the row, else 1.
+        shifted: list[tuple[int, int]] = []
+        for i, (nums, rel, rhs, _) in enumerate(self.rows):
+            shift = sum(a * self.low[j] for j, a in nums.items() if self.low[j])
+            b, scale = (rhs * self.bden - shift, self.bden) if shift else (rhs, 1)
             sign = -1 if b < 0 else 1
             self.row_sign.append(sign)
-            rhs_signed.append(sign * b)
+            shifted.append((sign * b, sign * scale))
             if rel != EQ:
                 self.slack_col[i] = next_slack
                 next_slack += 1
@@ -369,23 +393,24 @@ class _Simplex:
         self.T: list[list[int]] = []
         self.b: list[int] = []
         self.den: list[int] = []
-        for i, (coeffs, rel, _) in enumerate(self.caller_rows):
-            sign, b = self.row_sign[i], rhs_signed[i]
-            den = lcm(b.denominator, *(a.denominator for a in coeffs.values()))
+        for i, (nums, rel, _, den) in enumerate(self.rows):
+            b, scale = shifted[i]
             row = [0] * self.ncols
-            for j, a in coeffs.items():
-                row[j] = sign * a.numerator * (den // a.denominator)
+            for j, a in nums.items():
+                row[j] = scale * a
             if rel != EQ:
-                row[self.slack_col[i]] = sign * _SLACK[rel] * den
+                row[self.slack_col[i]] = scale * _SLACK[rel] * den
             if self.art_col[i] is not None:
-                row[self.art_col[i]] = den
+                row[self.art_col[i]] = abs(scale) * den
             self.T.append(row)
-            self.b.append(b.numerator * (den // b.denominator))
-            self.den.append(den)
+            self.b.append(b)
+            self.den.append(abs(scale) * den)
             self._reduce(i)
 
         # Upper bounds per column (shifted): structural get upp-low, the rest none.
-        self.ub: list[Fraction | None] = [None if u is None else u - low for u, low in zip(self.upp, self.low)]
+        self.ub: list[Fraction | None] = [
+            None if u is None else Fraction(u - low, self.bden) for u, low in zip(self.upp, self.low)
+        ]
         self.ub.extend([None] * (self.ncols - n))
         self.flipped = [False] * self.ncols
         self.live_rows = list(range(m))
@@ -401,7 +426,7 @@ class _Simplex:
 
     def _reduced_costs(self, col_cost: list[Fraction]):
         """Set ``d / dden`` to ``col_cost`` minus the basic costs times the rows."""
-        dden = lcm(*(c.denominator for c in col_cost))
+        dden = lcm(*[c.denominator for c in col_cost])
         d = [c.numerator * (dden // c.denominator) for c in col_cost]
         for i in self.live_rows:
             cb = col_cost[self.basis[i]]
@@ -573,7 +598,7 @@ class _Simplex:
     def _structural_values(self) -> list[Fraction]:
         """The caller's variables, in order, at the current basic solution."""
         x = self._assignment_shifted()
-        return [x[j] + self.low[j] for j in range(self.nstruct)]
+        return [x[j] + Fraction(low, self.bden) if low else x[j] for j, low in enumerate(self.low)]
 
     # -- driver --------------------------------------------------------------
 
@@ -640,29 +665,46 @@ class _Simplex:
         return mult
 
     # -- exact self-checks on the caller's rows ------------------------------
+    #
+    # These read only the integer encoding made in ``__init__`` (``rows``,
+    # ``low``/``upp`` over ``bden``, ``cost_nums`` over ``cost_den``), never the
+    # tableau.  A witness point or a multiplier vector is put over one common
+    # denominator first, and every comparison is a cross-multiplication.
 
     def _check_feasible_point(self, values: Sequence[Fraction]):
-        for j, x in enumerate(values):
-            if x < self.low[j] or (self.upp[j] is not None and x > self.upp[j]):
+        xs, xden = _over_one_denominator(values)
+        for j, x in enumerate(xs):
+            x *= self.bden
+            if x < self.low[j] * xden or (self.upp[j] is not None and x > self.upp[j] * xden):
                 raise CertificateError(f"bound violation on {self.varkeys[j]!r}")
-        for coeffs, rel, rhs in self.caller_rows:
-            lhs = _dot(coeffs, values)
+        for nums, rel, rhs, _ in self.rows:
+            # Both sides over den * xden.
+            lhs = sum(a * xs[j] for j, a in nums.items())
+            rhs *= xden
             if (rel == LE and lhs > rhs) or (rel == GE and lhs < rhs) or (rel == EQ and lhs != rhs):
                 raise CertificateError("row violation in optimal witness")
 
-    def _combine(self, mult: Sequence[Fraction]) -> tuple[dict[int, Fraction], Fraction]:
-        """``(sum_i y_i a_i, sum_i y_i b_i)``, once each ``y_i`` has the sign documented on ``BoundedInfeasible``."""
-        combined: dict[int, Fraction] = {}
-        total = Fraction(0)
-        for y, (coeffs, rel, rhs) in zip(mult, self.caller_rows):
+    def _combine(self, mult: Sequence[Fraction]) -> tuple[dict[int, int], int, int]:
+        """``(sum_i y_i a_i, sum_i y_i b_i)`` as integers over one positive denominator, returned third.
+
+        Each ``y_i`` must first have the sign documented on ``BoundedInfeasible``.
+        """
+        used = []
+        for y, (nums, rel, rhs, den) in zip(mult, self.rows):
             if not y:
                 continue
             if (rel == LE and y > 0) or (rel == GE and y < 0):
                 raise CertificateError(f"multiplier sign error on {rel} row")
-            for j, a in coeffs.items():
-                combined[j] = combined.get(j, 0) + y * a
-            total += y * rhs
-        return combined, total
+            used.append((y.numerator, y.denominator * den, nums, rhs))
+        cden = lcm(*[q for _, q, _, _ in used])
+        combined: dict[int, int] = {}
+        total = 0
+        for p, q, nums, rhs in used:
+            w = p * (cden // q)
+            for j, a in nums.items():
+                combined[j] = combined.get(j, 0) + w * a
+            total += w * rhs
+        return combined, total, cden
 
     def _check_optimal_bound(self, values: Sequence[Fraction], mult: Sequence[Fraction]):
         """Certify optimality with the exact dual solution ``mult`` of the caller's program.
@@ -674,27 +716,29 @@ class _Simplex:
         feasible, each ``y_i (a_i . values - b_i)`` is nonnegative, so their sum
         is zero exactly when every row with ``y_i != 0`` is tight.
         """
-        combined, total = self._combine(mult)
-        if _dot(combined, values) != total:
+        combined, total, cden = self._combine(mult)
+        xs, xden = _over_one_denominator(values)
+        if sum(g * xs[j] for j, g in combined.items()) != total * xden:
             raise CertificateError("nonzero dual multiplier on a row that is not tight")
-        reduced = list(self.cost)
-        for j, g in combined.items():
-            reduced[j] -= g
-        for j, r in enumerate(reduced):
-            if r > 0 and values[j] != self.low[j]:
+        for j, x in enumerate(xs):
+            # r_j times cden * cost_den.
+            r = self.cost_nums[j] * cden - combined.get(j, 0) * self.cost_den
+            x *= self.bden
+            if r > 0 and x != self.low[j] * xden:
                 raise CertificateError("positive reduced cost away from lower bound")
-            if r < 0 and (self.upp[j] is None or values[j] != self.upp[j]):
+            if r < 0 and (self.upp[j] is None or x != self.upp[j] * xden):
                 raise CertificateError("negative reduced cost away from upper bound")
 
     def _check_infeasibility(self, mult: Sequence[Fraction]):
-        combined, total = self._combine(mult)
-        # Fold variable bounds into the contradiction margin.
+        combined, total, cden = self._combine(mult)
+        # Fold variable bounds into the contradiction margin, over cden * bden.
+        margin = total * self.bden
         for j, g in combined.items():
             if g > 0:
                 if self.upp[j] is None:
                     raise CertificateError("certificate leaks through an unbounded-above variable")
-                total -= g * self.upp[j]
+                margin -= g * self.upp[j]
             elif g < 0:
-                total -= g * self.low[j]
-        if not total > 0:
+                margin -= g * self.low[j]
+        if not margin > 0:
             raise CertificateError("infeasibility certificate does not reach a contradiction")

@@ -185,6 +185,16 @@ class TestDistance:
         assert doc["approx_non_authoritative"] == "1e+400"
         assert cli.approx_text(-Fraction(10**400, 3)) == "-3.333333333e+399"
 
+    def test_approx_renders_a_nonzero_value_below_the_float_range(self, tmp_path, capsys):
+        # float() gives 0 (or -0) for these; a nonzero distance must not read as 0.
+        tiny = write_doc(tmp_path / "tiny.json", points_doc({0: "1/1" + "0" * 400}))
+        origin = write_doc(tmp_path / "origin.json", points_doc({}))
+        assert cli.main(["distance", tiny, origin, "--direction", "e0", "--approx"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "approx distance (non-authoritative): 1e-400"
+        assert cli.approx_text(Fraction(-3, 10**330)) == "-3e-330"
+        assert cli.approx_text(Fraction(0)) == "0"
+        assert cli.approx_text(Fraction(sys.float_info.min)) == f"{sys.float_info.min:.10g}"
+
     def test_report_embeds_manifest(self, files, tmp_path, capsys):
         out = tmp_path / "report"
         assert cli.main(["distance", files["origin"], files["e0"], "--out", str(out)]) == 0

@@ -539,6 +539,60 @@ else:
 """
 
 
+# One targeted corruption per message of the engine's own certificate checks:
+# each row corrupts the result of one ``_Simplex`` method on a real program,
+# and the run must end in exactly the check it targets.  OPT has two tight
+# rows and one slack row at its optimum (8/5, 6/5); INF is infeasible, with
+# Farkas multipliers (-1, 1).
+CERTIFICATE_CHECKS = """
+import sys
+from fractions import Fraction as F
+from weakstar import numerics
+from weakstar.errors import CertificateError
+
+OPT = (["x", "y"], {"x": F(1), "y": F(1)},
+       [({"x": F(1), "y": F(2)}, "<=", F(4)), ({"x": F(3), "y": F(1)}, "<=", F(6)),
+        ({"x": F(1), "y": F(1)}, "<=", F(100))])
+INF = (["x", "y"], {"x": F(1)}, [({"x": F(1), "y": F(1)}, "<=", F(1)), ({"x": F(1), "y": F(1)}, ">=", F(2))])
+TABLE = [
+    (OPT, "_structural_values", lambda x: [x[0] - 2, x[1]]),  # x below its lower bound
+    (OPT, "_structural_values", lambda x: [2 * v for v in x]),  # off the tight rows
+    (OPT, "_multipliers", lambda y: [-v for v in y]),  # positive on a <= row
+    (INF, "_multipliers", lambda y: [y[0], -y[1]]),  # negative on a >= row
+    (OPT, "_multipliers", lambda y: [y[0], y[1], F(-1)]),  # weight on the slack row
+    (OPT, "_multipliers", lambda y: [2 * v for v in y]),  # overshoots the cost
+    (OPT, "_multipliers", lambda y: [0 * v for v in y]),  # the optimal duals scaled to zero
+    (INF, "_multipliers", lambda y: [0 * y[0], y[1]]),  # leaves x + y >= 2 alone
+    (INF, "_multipliers", lambda y: [0 * v for v in y]),  # the Farkas vector scaled to zero
+]
+print("optimize", sys.flags.optimize)
+print("clean", numerics.solve_bounded(*OPT).value, numerics.solve_bounded(*INF).row_multipliers)
+for problem, name, corrupt in TABLE:
+    method = getattr(numerics._Simplex, name)
+    setattr(numerics._Simplex, name, lambda self, *args, method=method, corrupt=corrupt: corrupt(method(self, *args)))
+    try:
+        numerics.solve_bounded(*problem)
+    except CertificateError as exc:
+        print("rejected", exc)
+    else:
+        print("accepted")
+    finally:
+        setattr(numerics._Simplex, name, method)
+"""
+
+CERTIFICATE_MESSAGES = [
+    "bound violation on 'x'",
+    "row violation in optimal witness",
+    "multiplier sign error on <= row",
+    "multiplier sign error on >= row",
+    "nonzero dual multiplier on a row that is not tight",
+    "positive reduced cost away from lower bound",
+    "negative reduced cost away from upper bound",
+    "certificate leaks through an unbounded-above variable",
+    "infeasibility certificate does not reach a contradiction",
+]
+
+
 def run_script(script, *flags):
     src = str(Path(numerics.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
@@ -574,6 +628,15 @@ class TestCertification:
             f"optimize {len(flags)}",
             "clean 4",
             "rejected combination LP's Farkas functional does not separate the target",
+        ]
+
+    @pytest.mark.parametrize("flags", [("-O",), ()])
+    def test_every_certificate_check_trips_on_its_corruption(self, flags):
+        lines = run_script(CERTIFICATE_CHECKS, *flags)
+        assert lines == [
+            f"optimize {len(flags)}",
+            "clean 14/5 [Fraction(-1, 1), Fraction(1, 1)]",
+            *(f"rejected {message}" for message in CERTIFICATE_MESSAGES),
         ]
 
     def test_callers_reject_non_optimal_lps_under_optimize(self):

@@ -103,6 +103,29 @@ def test_simplex_has_one_multiplier_rule_and_no_dead_state():
     assert not hasattr(solver, "dropped_rows")
 
 
+def _self_attributes(method) -> set[str]:
+    """The ``self.<name>`` attributes a method's source reads or calls."""
+    tree = ast.parse(inspect.cleandoc("\n" + inspect.getsource(method)))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+
+
+def test_certificate_checks_never_read_the_tableau():
+    # The checks certify the tableau's answer against the caller's program,
+    # encoded once in ``__init__``; reading the tableau would certify it
+    # against itself.
+    tableau = {"T", "b", "den", "d", "dden", "basis"}
+    encoding = {"rows", "low", "upp", "bden", "cost_nums", "cost_den", "varkeys", "_combine"}
+    for name in ("_check_feasible_point", "_combine", "_check_optimal_bound", "_check_infeasibility"):
+        read = _self_attributes(getattr(numerics._Simplex, name))
+        assert not read & tableau, (name, read & tableau)
+        assert read <= encoding, (name, read - encoding)
+    assert not hasattr(numerics, "_dot")
+
+
 def test_one_convex_combination_walk():
     # ``faces.fresh_combinations`` serves both the scheduler and the deviation
     # sampler; the scheduler keeps no per-stage vertex copies.
