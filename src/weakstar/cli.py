@@ -24,6 +24,7 @@ import sys
 from dataclasses import fields, is_dataclass
 from decimal import Context
 from fractions import Fraction
+from functools import cache
 from math import inf
 from pathlib import Path
 from typing import Optional, Union
@@ -616,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_metric_flags(p)
     _add_common_flags(p)
-    p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("poulsen", help="append certified exposed vertices toward a dense boundary")
     p.add_argument("target")
@@ -626,58 +626,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default=0, type=int)
     p.add_argument("--radius", default="1", help="l1-ball radius containing the construction")
     _add_common_flags(p)
-    p.set_defaults(func=cmd_poulsen)
 
     p = sub.add_parser("expose", help="exposure certificates for every vertex of a polytope")
     p.add_argument("body")
     _add_common_flags(p)
-    p.set_defaults(func=cmd_expose)
 
     p = sub.add_parser("hull", help="irredundant closed convex hull of a set file")
     p.add_argument("body")
     _add_common_flags(p)
-    p.set_defaults(func=cmd_hull)
 
     p = sub.add_parser("vertices", help="extreme points of the hull of a set file")
     p.add_argument("body")
     _add_common_flags(p)
-    p.set_defaults(func=cmd_vertices)
 
     p = sub.add_parser("decompose", help="split a vector into its positive and negative parts")
     p.add_argument("point", help="vector file")
     _add_common_flags(p)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("limits", help="limit diagnostics over an ordered list of set files")
     p.add_argument("manifest", help="limit-query file listing the set files in order")
     _add_metric_flags(p)
     _add_common_flags(p)
-    p.set_defaults(func=cmd_limits)
 
     p = sub.add_parser("immeasurable", help="direction with infinite gap between two set files, if any")
     p.add_argument("first")
     p.add_argument("second")
     _add_common_flags(p)
-    p.set_defaults(func=cmd_immeasurable)
 
     p = sub.add_parser("demo", help="escaping-spike family and the polygon degeneracy sweep")
     p.add_argument("--spikes", default=5, type=int, help=f"number of spikes in the escaping family, at most {SPIKES_MAX}")
     p.add_argument("--directions", default=20, type=int, help=f"sample size for the sweep directions, at most {DIRECTIONS_MAX}")
     p.add_argument("--seed", default=2026, type=int)
     _add_common_flags(p)
-    p.set_defaults(func=cmd_demo)
 
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and kept for the process."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Look the command up at call time, so a rebound ``cmd_<name>`` is the one run.
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

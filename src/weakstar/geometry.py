@@ -250,7 +250,7 @@ def _prune_vertices(vertices: Sequence[SparseVec], rays: Sequence[SparseVec]) ->
     # the levels of ``c`` forms one Fraction per vertex.
     grid = []
     for v in vertices:
-        den = lcm(*(q.denominator for _, q in v.items()))
+        den = lcm(*[q.denominator for _, q in v.items()])
         grid.append(([(k, q.numerator * (den // q.denominator)) for k, q in v.items()], den))
     pending = dict.fromkeys(range(len(vertices)))
     found: list[SparseVec] = []
@@ -260,7 +260,7 @@ def _prune_vertices(vertices: Sequence[SparseVec], rays: Sequence[SparseVec]) ->
             if c is None:
                 del pending[i]
                 continue
-            scale = lcm(*(q.denominator for _, q in c.items()))
+            scale = lcm(*[q.denominator for _, q in c.items()])
             ci = {k: q.numerator * (scale // q.denominator) for k, q in c.items()}
             level = {j: Fraction(sum(ci.get(k, 0) * x for k, x in grid[j][0]), grid[j][1]) for j in pending}
             top = max(level.values())

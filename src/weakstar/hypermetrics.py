@@ -18,7 +18,10 @@ Three layers of structure, all exact:
   maximum solves no LP.  ``distances_to_body`` builds the distance LP of one
   body once for many points; the LPs differ only in their objective, each
   starts feasible so phase 1 makes no pivot, and a term no vertex of the
-  body sees is added in closed form instead of as a column.
+  body sees is added in closed form instead of as a column.  The bounds and
+  each distance LP's ``floor`` are computed in integers, with images over
+  one common denominator and weights over another (``_scaled``); the LP
+  rows themselves keep their ``Fraction`` entries.
 
 The module also produces separation witnesses (a functional telling two
 distinct hulls apart), infinite-distance witnesses (a functional seeing a
@@ -195,6 +198,20 @@ def _images(ns: Sequence[int], vectors: Sequence[SparseVec]) -> dict[SparseVec, 
     return {v: [v.get(n - 1) for n in ns] for v in vectors}
 
 
+def _scaled(images: Sequence[list[Fraction]], weights: Sequence[Fraction]) -> tuple[list[list[int]], list[int], int]:
+    """The images as integers over one common denominator and the weights over another.
+
+    Returns the scaled images, the scaled weights and ``scale``, the product of
+    the two denominators, so that ``weight * image`` is the product of their
+    scaled forms over ``scale``.
+    """
+    image_den = lcm(*[x.denominator for img in images for x in img])
+    weight_den = lcm(*[w.denominator for w in weights])
+    scaled = [[x.numerator * (image_den // x.denominator) for x in img] for img in images]
+    scaled_weights = [w.numerator * (weight_den // w.denominator) for w in weights]
+    return scaled, scaled_weights, image_den * weight_den
+
+
 def _distance_lp(body_images: Sequence[list[Fraction]], weights: Sequence[Fraction]) -> Callable[[list[Fraction]], Fraction]:
     """The distance to one body, given the images of its vertices, as a function of a point's image.
 
@@ -210,7 +227,8 @@ def _distance_lp(body_images: Sequence[list[Fraction]], weights: Sequence[Fracti
     """
     cols = [k for k in range(len(weights)) if any(img[k] for img in body_images)]
     loose = [k for k in range(len(weights)) if k not in cols]
-    floor = max(-sum((weights[k] * img[k] for k in cols), Fraction(0)) for img in body_images)
+    scaled, scaled_weights, scale = _scaled(body_images, weights)
+    floor = Fraction(max(-sum(scaled_weights[k] * img[k] for k in cols) for img in scaled), scale)
 
     def linear(img: list[Fraction]) -> dict:  # y . img - zp + zm, with z = floor + zp - zm
         return {**{("y", k): img[k] for k in cols}, ("zp",): Fraction(-1), ("zm",): Fraction(1)}
@@ -261,11 +279,8 @@ def hausdorff_full(first: Polyhedron, second: Polyhedron, cfg: MetricConfig = Me
     ns = cfg.term_indices(*first.vertices, *second.vertices)
     weights = [cfg.weight(n) for n in ns]
     images = _images(ns, [*first.vertices, *second.vertices])
-    image_den = lcm(*(x.denominator for img in images.values() for x in img))
-    weight_den = lcm(*(w.denominator for w in weights))
-    scaled = {v: [x.numerator * (image_den // x.denominator) for x in img] for v, img in images.items()}
-    scaled_weights = [w.numerator * (weight_den // w.denominator) for w in weights]
-    scale = image_den * weight_den  # u(sigma) == bound[sigma] / scale
+    scaled_images, scaled_weights, scale = _scaled(list(images.values()), weights)
+    scaled = dict(zip(images, scaled_images))  # u(sigma) == bound[sigma] / scale
     best = Fraction(0)
     for points, body in ((first.vertices, second), (second.vertices, first)):
         targets = [scaled[q] for q in body.vertices]

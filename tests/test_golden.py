@@ -18,6 +18,7 @@ import contextlib
 import io
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -72,7 +73,12 @@ def run_case(name: str, workdir: Path) -> dict[str, bytes]:
             code = cli.main(argv)
     finally:
         os.chdir(cwd)
-    produced = {"exit_code.txt": f"{code}\n".encode(), "stdout.txt": stdout.getvalue().encode()}
+    return collect(workdir, code, stdout.getvalue().encode())
+
+
+def collect(workdir: Path, code: int, stdout: bytes) -> dict[str, bytes]:
+    """The exit code, standard output and every file under ``workdir/out``, by name."""
+    produced = {"exit_code.txt": f"{code}\n".encode(), "stdout.txt": stdout}
     for path in sorted((workdir / "out").iterdir()):
         produced[path.name] = path.read_bytes()
     return produced
@@ -89,6 +95,18 @@ def test_artifacts_match_golden_bytes(name, tmp_path):
     assert sorted(produced) == sorted(expected)
     for filename, data in expected.items():
         assert produced[filename] == data, f"{name}/{filename} differs from the golden bytes"
+
+
+def test_process_entry_point_matches_golden_bytes(tmp_path):
+    # ``python -m weakstar.cli`` in a new process, at this process's -O level.
+    name = "distance_full"
+    shutil.copytree(INPUTS, tmp_path / "inputs")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, *["-O"] * sys.flags.optimize, "-m", "weakstar.cli", *CASES[name], "--out", "out"]
+    done = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert done.stderr == b""
+    assert collect(tmp_path, done.returncode, done.stdout) == expected_files(name)
 
 
 def test_every_command_is_covered():

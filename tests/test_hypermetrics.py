@@ -289,6 +289,7 @@ class TestHausdorffFull:
             [
                 MetricConfig(),
                 MetricConfig(PolarSpec(2)),
+                MetricConfig(Polyhedron([SparseVec.basis(k, s) for k in range(3) for s in (1, -1)])),
             ]
         ),
     )

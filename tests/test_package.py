@@ -5,6 +5,7 @@ deleted names stay deleted; and every entry point the benchmark tracer wraps
 still exists under its name.
 """
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -87,6 +88,22 @@ def test_no_assert_in_the_package():
         assert not lines, f"{path.name} uses assert on lines {lines}"
 
 
+def test_no_generator_argument_to_lcm_or_gcd():
+    # A generator-fed argument tuple is grown by resizing, and once freed it
+    # stays in the interpreter's tuple free lists until a full collection.
+    sources = sorted(Path(weakstar.__file__).parent.glob("*.py"))
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in {"lcm", "gcd"}
+            and any(isinstance(getattr(arg, "value", arg), ast.GeneratorExp) for arg in node.args)
+        ]
+        assert not lines, f"{path.name} passes a generator to lcm or gcd on lines {lines}"
+
+
 def test_polyhedron_holds_only_its_generators():
     # ``closed_convex_hull`` alone decides irredundancy; a body carries no flag.
     assert [f.name for f in dataclasses.fields(geometry.Polyhedron)] == ["vertices", "rays"]
@@ -157,14 +174,29 @@ def test_every_traced_entry_point_resolves(monkeypatch):
     assert not missing
 
 
-def test_command_dispatch_reads_the_module_attributes(monkeypatch):
-    # A rebound ``cmd_*`` must be the one the parser dispatches to, so the
-    # table from command to function is built inside ``build_parser``.
+def test_command_dispatch_reads_the_module_attributes(monkeypatch, capsys):
+    # The tracer rebinds ``cmd_*`` after ``main`` has built and kept its
+    # parser, so ``main`` must look the command up at call time.
     from weakstar import cli
 
     tracing = _tracing_module(monkeypatch)
+    assert cli.main([]) == 2  # no command: the parser is built and says so
     argv = {"poulsen": ["t", "--epsilon", "1", "--steps", "1"], "distance": ["a", "b"]}
     for command in tracing.COMMANDS:
-        sentinel = object()
-        monkeypatch.setattr(cli, f"cmd_{command}", sentinel)
-        assert cli.build_parser().parse_args([command, *argv.get(command, ["x"])]).func is sentinel
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args, seen=seen: seen.append(args.command) or 7)
+        assert cli.main([command, *argv.get(command, ["x"])]) == 7
+        assert seen == [command]
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    from weakstar import cli
+
+    assert cli.main([]) == 2
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("main built a second parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    monkeypatch.setattr(cli, "cmd_hull", lambda args: 0)
+    assert cli.main(["hull", "x"]) == 0
