@@ -17,12 +17,13 @@ The solver is a two-phase primal simplex with Bland's anti-cycling rule.
 Bounds are handled implicitly (bound substitution) instead of as explicit
 rows; that keeps the tableaus small for the box- and simplex-constrained
 programs the geometry modules generate.  The tableau is fraction-free: each
-row is a list of integers over one positive denominator, kept in lowest
-terms, so a pivot is integer arithmetic on the pivot row's nonzero columns
-(the integer-preserving update of Bareiss, as applied to the simplex method
-by Azulay and Pique).  Ratio tests compare integer pairs by
-cross-multiplication, so every decision, and hence every pivot, is the one
-exact rational arithmetic would make.
+row is a list of integers over one positive denominator, so a pivot is
+integer arithmetic on the pivot row's nonzero columns.  Rows are reduced
+lazily: the pivot row is brought to lowest terms at every pivot, and any
+other row only once its denominator passes ``ROW_BITS_MAX`` bits.  Ratio
+tests and sign tests compare integer pairs by cross-multiplication, which no
+common factor of a row can change, so every decision, and hence every pivot,
+is the one exact rational arithmetic would make.
 
 A ``<=`` row whose right side stays nonnegative when the lower bounds are
 shifted to zero (or a ``>=`` row whose right side stays nonpositive) starts on
@@ -69,6 +70,12 @@ _SLACK = {LE: 1, EQ: 0, GE: -1}
 _LITERAL = re.compile(r"-?(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 # Most digits a literal may have in its numerator or in its denominator.
 LITERAL_DIGITS_MAX = 1000
+# Bit length of a tableau row's denominator past which the row is brought back
+# to lowest terms.  Below it a common factor is cheaper to carry than to find:
+# in lowest terms the package's programs keep their tableau entries under
+# about 90 bits.  Bounds from 128 to 384 bits time alike on them, 64 is
+# slower, and with no bound the factors compound from pivot to pivot.
+ROW_BITS_MAX = 192
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -293,10 +300,15 @@ class _Simplex:
     """Bounded-variable two-phase simplex on an integer-row tableau.
 
     Row ``i`` of the tableau is the rational row ``T[i] / den[i]`` with right
-    side ``b[i] / den[i]``: integer numerators over one positive denominator,
-    kept in lowest terms.  The reduced-cost row is ``d / dden`` in the same
-    form.  All pivoting, flipping and comparison is exact integer arithmetic;
-    ``Fraction`` values are formed only when a solution is read off.
+    side ``b[i] / den[i]``: integer numerators over one positive denominator.
+    The reduced-cost row is ``d / dden`` in the same form.  A built row is in
+    lowest terms, and so is the pivot row after each pivot; any other row a
+    pivot or bound flip rescales is reduced only once its denominator passes
+    ``ROW_BITS_MAX`` bits, so every row is in lowest terms or within that
+    bound.  All pivoting, flipping and comparison is exact integer
+    arithmetic, and no comparison depends on a row's common factor;
+    ``Fraction`` values, always normalized, are formed only when a solution
+    is read off.
 
     ``__init__`` encodes the caller's program once, and nothing changes it
     afterwards: each row as ``(nums, rel, rhs, den)``, the sparse integer
@@ -446,9 +458,12 @@ class _Simplex:
         """Make column e basic in row r.
 
         The pivot row, divided by its entry in column e, is ``T[r] / T[r][e]``
-        (its old denominator cancels).  Every other row with a nonzero factor
-        ``f`` in column e becomes ``(row * p - f * T[r]) / (den * p)``, which
-        touches only the pivot row's nonzero columns beyond the rescaling.
+        (its old denominator cancels); it is brought to lowest terms, since
+        its denominator ``p`` multiplies every other row.  Every other row with
+        a nonzero factor ``f`` in column e becomes
+        ``(row * p - f * T[r]) / (den * p)``, which touches only the pivot
+        row's nonzero columns beyond the rescaling, and is reduced only past
+        ``ROW_BITS_MAX``.
         """
         p = self.T[r][e]
         if p < 0:
@@ -470,13 +485,16 @@ class _Simplex:
                 self.T[i] = new
                 self.b[i] = self.b[i] * p - f * pb
                 self.den[i] *= p
-                self._reduce(i)
+                if self.den[i].bit_length() > ROW_BITS_MAX:
+                    self._reduce(i)
         f = self.d[e]
         if f:
             d = [x * p for x in self.d] if p != 1 else list(self.d)
             for j, y in support:
                 d[j] -= f * y
-            self.d, self.dden = _lowest_terms(d, self.dden * p)
+            self.d, self.dden = d, self.dden * p
+            if self.dden.bit_length() > ROW_BITS_MAX:
+                self.d, self.dden = _lowest_terms(d, self.dden)
         self.basis[r] = e
 
     def _flip_nonbasic(self, e: int):
@@ -493,12 +511,16 @@ class _Simplex:
                     self.den[i] *= ud
                 self.b[i] = self.b[i] * ud - un * a
                 self.T[i][e] = -a * ud
-                self._reduce(i)
+                if self.den[i].bit_length() > ROW_BITS_MAX:
+                    self._reduce(i)
         self.d[e] = -self.d[e]
         self.flipped[e] = not self.flipped[e]
 
     def _flip_basic_row(self, r: int):
-        """Re-express the basic variable of row r relative to its upper bound."""
+        """Re-express the basic variable of row r relative to its upper bound.
+
+        The pivot on row r that always follows brings it to lowest terms.
+        """
         var = self.basis[r]
         u = self.ub[var]
         if u is None:
@@ -510,7 +532,6 @@ class _Simplex:
         self.T[r] = row
         self.b[r] = un * den - ud * self.b[r]
         self.den[r] = den * ud
-        self._reduce(r)
         self.flipped[var] = not self.flipped[var]
 
     def _iterate(self, allow_artificials: bool) -> int | None:

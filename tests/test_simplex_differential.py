@@ -25,11 +25,12 @@ from weakstar.numerics import BoundedInfeasible, BoundedOptimal, solve_bounded
 F = Fraction
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-sparse_coef = st.one_of(st.just(F(0)), st.just(F(0)), small)
 
 
 @st.composite
-def bounded_lps(draw):
+def bounded_lps(draw, values=small):
+    """A random program whose coefficients, right sides and lower bounds are drawn from ``values``."""
+    sparse_coef = st.one_of(st.just(F(0)), st.just(F(0)), values)
     nvars = draw(st.integers(min_value=1, max_value=6))
     nrows = draw(st.integers(min_value=1, max_value=6))
     variables = [f"x{j}" for j in range(nvars)]
@@ -37,10 +38,10 @@ def bounded_lps(draw):
     rows = []
     for _ in range(nrows):
         coeffs = {v: draw(sparse_coef) for v in variables}
-        rows.append((coeffs, draw(st.sampled_from(["<=", "=", ">="])), draw(small)))
+        rows.append((coeffs, draw(st.sampled_from(["<=", "=", ">="])), draw(values)))
     lower, upper = {}, {}
     for v in variables:
-        low = draw(st.one_of(st.just(F(0)), small))
+        low = draw(st.one_of(st.just(F(0)), values))
         lower[v] = low
         kind = draw(st.sampled_from(["free", "boxed", "fixed"]))
         if kind == "boxed":
