@@ -120,18 +120,13 @@ def assert_same_path(program, stats: Counter):
     assert got == want
 
 
-def as_program(lp):
-    variables, objective, rows, lower, upper, _ = lp
-    return variables, objective, rows, lower, upper
-
-
 def test_engines_agree_pivot_by_pivot():
     stats = Counter()
 
     @settings(max_examples=300, deadline=None)
     @given(lp=st.one_of(bounded_lps(), bounded_lps(wide)))
     def check(lp):
-        assert_same_path(as_program(lp), stats)
+        assert_same_path(lp[:5], stats)  # the engine only maximizes: drop the sense
 
     check()
     # The wide programs must really exercise both sides of the bound.
