@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import stat
 import sys
 from dataclasses import fields, is_dataclass
 from decimal import Context
@@ -131,9 +133,38 @@ def _fields_to_json(value):
     return value
 
 
+# Most bytes a document file may hold.  A file of 1,000 generators with 1,000
+# entries each fits when its entries average about 60 bytes.
+DOCUMENT_BYTES_MAX = 64 * 2**20
+
+_FILE_TYPES = (
+    (stat.S_ISDIR, "directory"),
+    (stat.S_ISFIFO, "FIFO"),
+    (stat.S_ISCHR, "character device"),
+    (stat.S_ISBLK, "block device"),
+    (stat.S_ISSOCK, "socket"),
+)
+
+
 def load_document(path: str) -> dict:
+    """Read a JSON document with a string ``kind`` from a regular file of at most ``DOCUMENT_BYTES_MAX`` bytes.
+
+    The path is checked with ``os.stat`` before it is opened, so a FIFO or a
+    device is refused without a read that could block or never end.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        mode = os.stat(path).st_mode
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    if not stat.S_ISREG(mode):
+        kind = next((name for test, name in _FILE_TYPES if test(mode)), "special file")
+        raise ParseError(f"cannot read {path}: it is a {kind}, not a regular file")
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read(DOCUMENT_BYTES_MAX + 1)
+        if len(data) > DOCUMENT_BYTES_MAX:
+            raise ParseError(f"{path} exceeds the limit of {DOCUMENT_BYTES_MAX} bytes")
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:

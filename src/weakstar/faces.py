@@ -34,12 +34,9 @@ from .numerics import SparseVec, pair
 
 __all__ = [
     "ExposureCertificate",
-    "DeviationEstimate",
     "exposure_certificate",
     "exposed_all",
     "certificate_is_valid",
-    "extreme_deviation",
-    "stadium_family",
     "inscribed_polygon",
     "fan_directions",
 ]

@@ -7,7 +7,10 @@ query (membership, redundancy, support values) reduces to a small exact LP on
 the generators, so no facet/H-representation is ever computed.  Pruning a hull
 is output-sensitive: each vertex is tested only against the extreme points
 found so far, and when the test fails, its Farkas functional, checked exactly
-to separate, is maximized to find the next one.
+to separate, is maximized to find the next one.  That check and that
+maximization are integer arithmetic: every vector is read as integer
+numerators over one denominator, and pairings are compared by
+cross-multiplication, so no ``Fraction`` is made per generator.
 
 ``PolarSpec`` pins down the concrete model: test functionals live in the
 finitely supported sup-norm space, dual points in l1, and the polar of the
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, lcm
+from math import inf
 from typing import Iterable, Sequence, Union
 
 from .errors import BadParameter, CertificateError, UnboundedInput
@@ -152,6 +155,45 @@ def _generators(body: SetLike) -> tuple[tuple[SparseVec, ...], tuple[SparseVec, 
     return body.vertices, body.rays
 
 
+def _dot(first: dict[int, int], second: dict[int, int]) -> int:
+    """The integer dot product of two sparse integer vectors."""
+    if len(first) > len(second):
+        first, second = second, first
+    return sum(a * second[k] for k, a in first.items() if k in second)
+
+
+def _level(functional: dict[int, int], vector: SparseVec) -> tuple[int, int]:
+    """The pairing of a functional's numerators with ``vector``, as ``(numerator, positive denominator)``.
+
+    It is the true pairing times the functional's common denominator, which
+    is positive, so levels of one functional compare as the pairings do.
+    """
+    nums, den = vector.over_one_denominator()
+    return _dot(functional, nums), den
+
+
+def _separates(c: SparseVec, target: SparseVec, points: Sequence[SparseVec], rays: Sequence[SparseVec]) -> bool:
+    """Whether ``c . target`` exceeds ``c . p`` for every point (0 when there are none) and ``c . r <= 0`` on every ray."""
+    cn, _ = c.over_one_denominator()
+    top, tden = _level(cn, target)
+    if points:
+        above = all(n * tden < top * d for n, d in (_level(cn, p) for p in points))
+    else:
+        above = top > 0
+    return above and all(_level(cn, r)[0] <= 0 for r in rays)
+
+
+def _maximizers(c: SparseVec, vectors: Sequence[SparseVec], indices: Iterable[int]) -> list[int]:
+    """The indices ``j`` among ``indices`` with ``c . vectors[j]`` largest, in the given order."""
+    cn, _ = c.over_one_denominator()
+    level = {j: _level(cn, vectors[j]) for j in indices}
+    top, tden = next(iter(level.values()))
+    for n, d in level.values():
+        if n * tden > top * d:
+            top, tden = n, d
+    return [j for j, (n, d) in level.items() if n * tden == top * d]
+
+
 def _combination_feasible(
     target: SparseVec, points: Sequence[SparseVec], rays: Sequence[SparseVec]
 ) -> SparseVec | None:
@@ -161,7 +203,9 @@ def _combination_feasible(
     Otherwise returns a functional ``c`` separating the target: ``c . target``
     exceeds ``c . p`` for every point (exceeds 0 when there are none) and
     ``c . r <= 0`` on every ray.  ``c`` is read off the Farkas multipliers on the
-    coordinate rows and checked exactly before it is returned.
+    coordinate rows and checked exactly before it is returned, in integers:
+    each generator's pairing with ``c`` is compared with the target's by
+    cross-multiplication over ``c``'s common denominator.
     """
     coords: set[int] = set(target.support)
     for g in (*points, *rays):
@@ -174,7 +218,8 @@ def _combination_feasible(
             coeffs[k][column] = v
     rows: list = []
     if points:
-        rows.append(({("a", i): Fraction(1) for i in range(len(points))}, "=", Fraction(1)))
+        one = Fraction(1)
+        rows.append((dict.fromkeys(variables[: len(points)], one), "=", one))
     rows += [(coeffs[k], "=", target.get(k)) for k in ks]
     out = solve_bounded(variables, {}, rows)
     if isinstance(out, BoundedOptimal):
@@ -182,8 +227,7 @@ def _combination_feasible(
     if not isinstance(out, BoundedInfeasible) or len(out.row_multipliers) != len(rows):
         raise CertificateError(f"combination LP gave {type(out).__name__} without a Farkas certificate")
     c = SparseVec(zip(ks, out.row_multipliers[len(rows) - len(ks) :]))
-    level = pair(c, target)
-    if any(pair(c, p) >= level for p in points or [SparseVec.zero()]) or any(pair(c, r) > 0 for r in rays):
+    if not _separates(c, target, points, rays):
         raise CertificateError("combination LP's Farkas functional does not separate the target")
     return c
 
@@ -246,12 +290,6 @@ def _prune_vertices(vertices: Sequence[SparseVec], rays: Sequence[SparseVec]) ->
     a line the last is kept.  Vertices must be distinct.
     """
     dims = sorted({k for v in vertices for k in v.support})
-    # Each vertex as integer numerators over one denominator, so that a scan of
-    # the levels of ``c`` forms one Fraction per vertex.
-    grid = []
-    for v in vertices:
-        den = lcm(*[q.denominator for _, q in v.items()])
-        grid.append(([(k, q.numerator * (den // q.denominator)) for k, q in v.items()], den))
     pending = dict.fromkeys(range(len(vertices)))
     found: list[SparseVec] = []
     for i in range(len(vertices)):
@@ -260,12 +298,9 @@ def _prune_vertices(vertices: Sequence[SparseVec], rays: Sequence[SparseVec]) ->
             if c is None:
                 del pending[i]
                 continue
-            scale = lcm(*[q.denominator for _, q in c.items()])
-            ci = {k: q.numerator * (scale // q.denominator) for k, q in c.items()}
-            level = {j: Fraction(sum(ci.get(k, 0) * x for k, x in grid[j][0]), grid[j][1]) for j in pending}
-            top = max(level.values())
-            tied = [j for j, value in level.items() if value == top]
-            face_rays = [r for r in rays if not pair(c, r)]
+            tied = _maximizers(c, vertices, pending)
+            cn, _ = c.over_one_denominator()
+            face_rays = [r for r in rays if not _level(cn, r)[0]]
             if face_rays:
                 while len(tied) > 1 and _combination_feasible(
                     vertices[tied[0]], [vertices[j] for j in tied[1:]], face_rays

@@ -230,8 +230,10 @@ def _distance_lp(body_images: Sequence[list[Fraction]], weights: Sequence[Fracti
     scaled, scaled_weights, scale = _scaled(body_images, weights)
     floor = Fraction(max(-sum(scaled_weights[k] * img[k] for k in cols) for img in scaled), scale)
 
+    z_terms = {("zp",): Fraction(-1), ("zm",): Fraction(1)}
+
     def linear(img: list[Fraction]) -> dict:  # y . img - zp + zm, with z = floor + zp - zm
-        return {**{("y", k): img[k] for k in cols}, ("zp",): Fraction(-1), ("zm",): Fraction(1)}
+        return {**{("y", k): img[k] for k in cols}, **z_terms}
 
     variables = [("y", k) for k in cols] + [("zp",), ("zm",)]
     lower = {("y", k): -weights[k] for k in cols}

@@ -25,6 +25,15 @@ tests and sign tests compare integer pairs by cross-multiplication, which no
 common factor of a row can change, so every decision, and hence every pivot,
 is the one exact rational arithmetic would make.
 
+The boundary with the callers is integer-native.  A ``Fraction`` coefficient
+or bound is read by its numerator and denominator, and only other values are
+coerced; an absent lower bound is the integer 0.  Phase 1 decides
+infeasibility in integers (a basic artificial with a nonzero right side),
+and each row multiplier is made as one ``Fraction`` from integers.  On the
+caller's side, ``SparseVec.over_one_denominator`` gives a vector's entries
+as integer numerators over one denominator, made on first use and kept, so
+that pairings repeated in integers scale each vector once.
+
 A ``<=`` row whose right side stays nonnegative when the lower bounds are
 shifted to zero (or a ``>=`` row whose right side stays nonpositive) starts on
 its slack and needs no artificial column; a program made only of such rows
@@ -76,6 +85,8 @@ LITERAL_DIGITS_MAX = 1000
 # about 90 bits.  Bounds from 128 to 384 bits time alike on them, 64 is
 # slower, and with no bound the factors compound from pivot to pivot.
 ROW_BITS_MAX = 192
+# One shared zero for defaults and sums; a Fraction is immutable.
+_FRACTION_ZERO = Fraction(0)
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -124,7 +135,7 @@ class SparseVec:
     is the zero vector of either role.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("_entries", "_hash")
+    __slots__ = ("_entries", "_hash", "_integers")
 
     def __init__(self, entries: Mapping[int, RationalLike] | Iterable[tuple[int, RationalLike]] = ()):
         items = entries.items() if isinstance(entries, Mapping) else entries
@@ -137,6 +148,7 @@ class SparseVec:
                 cleaned[index] = q
         self._entries: dict[int, Fraction] = dict(sorted(cleaned.items()))
         self._hash: int | None = None
+        self._integers: tuple[dict[int, int], int] | None = None
 
     @staticmethod
     def zero() -> "SparseVec":
@@ -157,7 +169,18 @@ class SparseVec:
         return self._entries.items()
 
     def get(self, index: int) -> Fraction:
-        return self._entries.get(index, Fraction(0))
+        return self._entries.get(index, _FRACTION_ZERO)
+
+    def over_one_denominator(self) -> tuple[dict[int, int], int]:
+        """The entries as integer numerators ``{index: int}`` over their least common positive denominator.
+
+        Made on first use and kept, so a vector that is paired in integers many
+        times is scaled once, and one that never is costs nothing.
+        """
+        if self._integers is None:
+            den = lcm(*[q.denominator for q in self._entries.values()])
+            self._integers = ({k: q.numerator * (den // q.denominator) for k, q in self._entries.items()}, den)
+        return self._integers
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -172,7 +195,7 @@ class SparseVec:
             return NotImplemented
         out = dict(self._entries)
         for k, v in other._entries.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, _FRACTION_ZERO) + v
         return SparseVec(out)
 
     def __sub__(self, other: "SparseVec") -> "SparseVec":
@@ -180,7 +203,7 @@ class SparseVec:
             return NotImplemented
         out = dict(self._entries)
         for k, v in other._entries.items():
-            out[k] = out.get(k, Fraction(0)) - v
+            out[k] = out.get(k, _FRACTION_ZERO) - v
         return SparseVec(out)
 
     def __neg__(self) -> "SparseVec":
@@ -213,7 +236,7 @@ def pair(functional: SparseVec, point: SparseVec) -> Fraction:
     a, b = functional, point
     if len(a._entries) > len(b._entries):
         a, b = b, a
-    total = Fraction(0)
+    total = _FRACTION_ZERO
     for k, v in a._entries.items():
         w = b._entries.get(k)
         if w is not None:
@@ -222,11 +245,11 @@ def pair(functional: SparseVec, point: SparseVec) -> Fraction:
 
 
 def l1_norm(vec: SparseVec) -> Fraction:
-    return sum((abs(v) for v in vec._entries.values()), Fraction(0))
+    return sum((abs(v) for v in vec._entries.values()), _FRACTION_ZERO)
 
 
 def sup_norm(vec: SparseVec) -> Fraction:
-    return max((abs(v) for v in vec._entries.values()), default=Fraction(0))
+    return max((abs(v) for v in vec._entries.values()), default=_FRACTION_ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +302,12 @@ def solve_bounded(
     return _Simplex(variables, objective, rows, lower or {}, upper or {}).run()
 
 
+def _ratio(value: RationalLike) -> tuple[int, int]:
+    """``value`` as ``(numerator, denominator)``; only a value that is not a ``Fraction`` is coerced."""
+    q = value if value.__class__ is Fraction else as_rational(value)
+    return q.numerator, q.denominator
+
+
 def _over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integer numerators of ``values`` over their least common positive denominator."""
     # A list, not a generator: a generator-fed argument tuple is grown by
@@ -327,20 +356,19 @@ class _Simplex:
         self.nstruct = len(self.varkeys)
         index = {v: j for j, v in enumerate(self.varkeys)}
 
-        low = [as_rational(lower.get(v, 0)) for v in self.varkeys]
-        upp: list[Fraction | None] = []
-        for v in self.varkeys:
-            u = upper.get(v)
-            upp.append(None if u is None else as_rational(u))
-        self.bden = lcm(*[q.denominator for q in low], *[q.denominator for q in upp if q is not None])
-        self.low = [q.numerator * (self.bden // q.denominator) for q in low]
-        self.upp = [None if q is None else q.numerator * (self.bden // q.denominator) for q in upp]
+        # An absent bound is the integer 0 (lower) or None (upper); a Fraction
+        # bound or coefficient is read as is, and anything else is coerced.
+        low = [_ratio(lower[v]) if v in lower else (0, 1) for v in self.varkeys]
+        upp = [None if upper.get(v) is None else _ratio(upper[v]) for v in self.varkeys]
+        self.bden = lcm(*[q for _, q in low], *[u[1] for u in upp if u is not None])
+        self.low = [a * (self.bden // q) for a, q in low]
+        self.upp = [None if u is None else u[0] * (self.bden // u[1]) for u in upp]
         for j, u in enumerate(self.upp):
             if u is not None and u < self.low[j]:
                 raise ValueError(f"variable {self.varkeys[j]!r} has empty bound interval")
 
         # Minimization internally, of the negated objective.
-        self.cost = [Fraction(0)] * self.nstruct
+        self.cost: list[Fraction | int] = [0] * self.nstruct
         for v, coef in objective.items():
             if v not in index:
                 raise ValueError(f"objective mentions unknown variable {v!r}")
@@ -353,17 +381,20 @@ class _Simplex:
                 raise ValueError(f"bad relation {rel!r}")
             cols, nums, dens = [], [], []
             for v, coef in coeffs.items():
-                if v not in index:
+                j = index.get(v)
+                if j is None:
                     raise ValueError(f"row mentions unknown variable {v!r}")
-                q = as_rational(coef)
-                if q:
-                    cols.append(index[v])
-                    nums.append(q.numerator)
-                    dens.append(q.denominator)
-            rhs = as_rational(rhs)
-            den = lcm(rhs.denominator, *dens)
+                if coef.__class__ is not Fraction:
+                    coef = as_rational(coef)
+                a = coef.numerator
+                if a:
+                    cols.append(j)
+                    nums.append(a)
+                    dens.append(coef.denominator)
+            rn, rd = _ratio(rhs)
+            den = lcm(rd, *dens)
             sparse = dict(zip(cols, nums)) if den == 1 else {j: a * (den // q) for j, a, q in zip(cols, nums, dens)}
-            self.rows.append((sparse, rel, rhs.numerator * (den // rhs.denominator), den))
+            self.rows.append((sparse, rel, rn * (den // rd), den))
 
     # -- setup ---------------------------------------------------------------
 
@@ -436,7 +467,7 @@ class _Simplex:
             self.b[i] //= g
             self.den[i] //= g
 
-    def _reduced_costs(self, col_cost: list[Fraction]):
+    def _reduced_costs(self, col_cost: list[Fraction | int]):
         """Set ``d / dden`` to ``col_cost`` minus the basic costs times the rows."""
         dden = lcm(*[c.denominator for c in col_cost])
         d = [c.numerator * (dden // c.denominator) for c in col_cost]
@@ -448,9 +479,6 @@ class _Simplex:
                 factor = cb.numerator * dden
                 d, dden = _lowest_terms([x * scale - factor * y for x, y in zip(d, self.T[i])], dden * scale)
         self.d, self.dden = d, dden
-
-    def _cost(self, j: int) -> Fraction:
-        return Fraction(self.d[j], self.dden)
 
     # -- pivoting ------------------------------------------------------------
 
@@ -603,7 +631,7 @@ class _Simplex:
     # -- value extraction ----------------------------------------------------
 
     def _assignment_shifted(self) -> list[Fraction]:
-        x = [Fraction(0)] * self.ncols
+        x = [_FRACTION_ZERO] * self.ncols
         for j in range(self.ncols):
             if self.flipped[j]:
                 u = self.ub[j]
@@ -626,23 +654,22 @@ class _Simplex:
     def run(self) -> BoundedOutcome:
         """Build the tableau, drive the artificials to zero and evict them, then optimize ``cost``."""
         self._build_tableau()
-        phase1_cost = [Fraction(0)] * self.ncols
-        for j in range(self.first_art, self.ncols):
-            phase1_cost[j] = Fraction(1)
+        phase1_cost = [0] * self.first_art + [1] * (self.ncols - self.first_art)
         self._reduced_costs(phase1_cost)
         leftover = self._iterate(allow_artificials=True)
         if leftover is not None:
             raise CertificateError("phase 1 objective is bounded below, cannot be unbounded")
 
-        x = self._assignment_shifted()
-        infeas = sum((x[j] for j in range(self.first_art, self.ncols)), Fraction(0))
-        if infeas > 0:
+        # The artificials sum to a positive value exactly when one of them is
+        # basic at a nonzero level; a nonbasic one is at zero (it has no upper
+        # bound to flip to).
+        if any(self.basis[i] >= self.first_art and self.b[i] for i in self.live_rows):
             mult = self._multipliers(phase1_cost)
             self._check_infeasibility(mult)
             return BoundedInfeasible(mult)
         self._evict_artificials()
 
-        col_cost = [Fraction(0)] * self.ncols
+        col_cost: list[Fraction | int] = [0] * self.ncols
         for j in range(self.nstruct):
             col_cost[j] = -self.cost[j] if self.flipped[j] else self.cost[j]
         self._reduced_costs(col_cost)
@@ -654,7 +681,7 @@ class _Simplex:
         values = self._structural_values()
         self._check_feasible_point(values)
         self._check_optimal_bound(values, self._multipliers(col_cost))
-        raw = sum((c * x for c, x in zip(self.cost, values) if c), Fraction(0))
+        raw = sum((c * x for c, x in zip(self.cost, values) if c), _FRACTION_ZERO)
         return BoundedOptimal(-raw, dict(zip(self.varkeys, values)))
 
     def _evict_artificials(self):
@@ -672,17 +699,19 @@ class _Simplex:
             else:
                 self._pivot(i, target)
 
-    def _multipliers(self, col_cost: list[Fraction]) -> list[Fraction]:
+    def _multipliers(self, col_cost: list[Fraction | int]) -> list[Fraction]:
         """The row multipliers ``y`` at the current reduced costs of ``col_cost``.
 
         ``y_i`` is ``row_sign[i]`` times the cost minus the reduced cost of row
-        i's artificial column, or of its slack column when it has none.
+        i's artificial column, or of its slack column when it has none, formed
+        in integers over ``c.denominator * dden`` and made a ``Fraction`` once.
         """
         mult = []
         for i, sign in enumerate(self.row_sign):
             col = self.art_col[i] if self.art_col[i] is not None else self.slack_col[i]
-            y = col_cost[col] - self._cost(col) if col_cost[col] else -self._cost(col)
-            mult.append(y * sign)
+            c = col_cost[col]
+            q = c.denominator
+            mult.append(Fraction(sign * (c.numerator * self.dden - q * self.d[col]), q * self.dden))
         return mult
 
     # -- exact self-checks on the caller's rows ------------------------------

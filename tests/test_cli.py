@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import random
 import sys
 import tempfile
@@ -581,6 +582,35 @@ class TestExitCodes:
         path.write_bytes(b"\xff\xfe")
         assert cli.main(["hull", str(path)]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_is_refused_without_being_opened(self, tmp_path, monkeypatch, capsys):
+        fifo = tmp_path / "pipe.json"
+        os.mkfifo(fifo)
+        monkeypatch.setattr(cli, "open", reached, raising=False)  # opening a FIFO with no writer would block
+        assert cli.main(["vertices", str(fifo)]) == 2
+        assert "it is a FIFO, not a regular file" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_character_device_is_refused_without_being_opened(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "open", reached, raising=False)
+        assert cli.main(["hull", "/dev/null"]) == 2
+        assert "it is a character device, not a regular file" in capsys.readouterr().err
+
+    def test_directory_is_refused(self, tmp_path, capsys):
+        assert cli.main(["hull", str(tmp_path)]) == 2
+        assert "it is a directory, not a regular file" in capsys.readouterr().err
+
+    def test_file_over_the_byte_cap_is_refused(self, tmp_path, monkeypatch, capsys):
+        text = json.dumps(points_doc({0: "1/2"}))
+        monkeypatch.setattr(cli, "DOCUMENT_BYTES_MAX", len(text) + 1)
+        at_cap = tmp_path / "at_cap.json"
+        at_cap.write_text(text + "\n")
+        assert cli.main(["vertices", str(at_cap)]) == 0
+        over = tmp_path / "over.json"
+        over.write_text(text + "\n\n")
+        assert cli.main(["vertices", str(over)]) == 2
+        assert f"exceeds the limit of {len(text) + 1} bytes" in capsys.readouterr().err
 
     def test_precondition_messages_name_the_violation(self, files, capsys):
         assert cli.main(["poulsen", files["spike5"], "--epsilon", "1/2", "--steps", "1"]) == 3

@@ -23,7 +23,7 @@ from weakstar.geometry import (
     scalar_image,
     support_value,
 )
-from weakstar.geometry import _prune_rays, _prune_vertices
+from weakstar.geometry import _maximizers, _prune_rays, _prune_vertices, _separates
 from weakstar.numerics import SparseVec, pair
 
 F = Fraction
@@ -441,6 +441,46 @@ class TestPruneDifferential:
         # c = (0, 1) ties pt(0, 1) and pt(3, 1) along the ray E0.
         body = Polyhedron([pt(3, 1), ZERO, pt(0, 1), pt(1, F(1, 2))], rays=[E0])
         assert closed_convex_hull(body).vertices == (ZERO, pt(0, 1))
+
+
+# -- integer separation and levels against the Fraction pairing ---------------
+
+
+def pair_separates(c, target, points, rays):
+    """The separation verdict as ``_combination_feasible`` made it with ``pair``."""
+    level = pair(c, target)
+    return not (any(pair(c, p) >= level for p in points or [ZERO]) or any(pair(c, r) > 0 for r in rays))
+
+
+def pair_maximizers(c, vectors, indices):
+    """The tie set as ``_prune_vertices`` made it with one ``Fraction`` level per vector."""
+    level = {j: pair(c, vectors[j]) for j in indices}
+    top = max(level.values())
+    return [j for j, value in level.items() if value == top]
+
+
+@st.composite
+def pairing_inputs(draw):
+    """A functional, a target, points and rays, with ties between levels common."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    values = draw(st.sampled_from([GRID, SMALL, st.fractions(min_value=-2, max_value=2, max_denominator=12)]))
+    vectors = st.lists(values, min_size=dim, max_size=dim).map(lambda xs: SparseVec(enumerate(xs)))
+    c, target = draw(vectors), draw(vectors)
+    points = draw(st.lists(vectors, max_size=4))
+    if points and draw(st.booleans()):
+        points.append(target + draw(st.sampled_from(points)) - draw(st.sampled_from(points)))
+    return c, target, points, draw(st.lists(vectors, max_size=2))
+
+
+class TestIntegerPairingDifferential:
+    @given(case=pairing_inputs(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_separation_and_maximizers_match_the_fraction_pairing(self, case, data):
+        c, target, points, rays = case
+        assert _separates(c, target, points, rays) == pair_separates(c, target, points, rays)
+        vectors = [target, *points, *rays]
+        indices = data.draw(st.permutations(range(len(vectors))))[: data.draw(st.integers(1, len(vectors)))]
+        assert _maximizers(c, vectors, indices) == pair_maximizers(c, vectors, indices)
 
 
 def _circle(count):

@@ -539,6 +539,44 @@ else:
 """
 
 
+# The separation check at its boundaries, with the LP replaced by one that
+# returns chosen Farkas multipliers (the convexity row's, then one per
+# coordinate): a functional that ties the target with a point, that is 0 on
+# the target when there are no points, or that is positive on a ray does not
+# separate; one that is 0 on a ray does.  Denominators differ between the
+# functional, the target and the points, so the integer comparison must
+# cross-multiply.
+SEPARATION_BOUNDARIES = """
+import sys
+from fractions import Fraction as F
+from weakstar import geometry
+from weakstar.errors import CertificateError
+from weakstar.numerics import BoundedInfeasible, SparseVec
+
+def v(*xs):
+    return SparseVec(enumerate(xs))
+
+TABLE = [
+    ("separates", v(F(1, 3), 0), [v(0, 0), v(F(1, 5), 7)], [], [F(0), F(3, 5), F(0)]),
+    ("tie", v(F(1, 3), 0), [v(0, 0), v(F(1, 3), F(5, 11))], [], [F(0), F(3, 5), F(0)]),
+    ("reversed", v(F(1, 3), 0), [v(0, 0)], [], [F(0), F(-2, 7)]),
+    ("ray at 0", v(1, 0), [v(0, 0)], [v(0, F(1, 2))], [F(0), F(1), F(0)]),
+    ("ray above 0", v(1, 0), [v(0, 0)], [v(0, F(1, 2))], [F(0), F(1), F(1, 9)]),
+    ("cone", v(1, 0), [], [v(0, 1)], [F(1, 4), F(0)]),
+    ("cone at 0", v(1, 0), [], [v(0, 1)], [F(0), F(-1)]),
+]
+print("optimize", sys.flags.optimize)
+for name, target, points, rays, mult in TABLE:
+    geometry.solve_bounded = lambda *args, mult=mult, **kwargs: BoundedInfeasible(mult)
+    try:
+        c = geometry._combination_feasible(target, points, rays)
+    except CertificateError as exc:
+        print(name, "rejected", exc)
+    else:
+        print(name, "accepted", c)
+"""
+
+
 # One targeted corruption per message of the engine's own certificate checks:
 # each row corrupts the result of one ``_Simplex`` method on a real program,
 # and the run must end in exactly the check it targets.  OPT has two tight
@@ -628,6 +666,21 @@ class TestCertification:
             f"optimize {len(flags)}",
             "clean 4",
             "rejected combination LP's Farkas functional does not separate the target",
+        ]
+
+    @pytest.mark.parametrize("flags", [("-O",), ()])
+    def test_separation_check_is_strict_at_its_boundaries(self, flags):
+        lines = run_script(SEPARATION_BOUNDARIES, *flags)
+        rejected = "rejected combination LP's Farkas functional does not separate the target"
+        assert lines == [
+            f"optimize {len(flags)}",
+            "separates accepted SparseVec({0: 3/5})",
+            f"tie {rejected}",
+            f"reversed {rejected}",
+            "ray at 0 accepted SparseVec({0: 1/1})",
+            f"ray above 0 {rejected}",
+            "cone accepted SparseVec({0: 1/4})",
+            f"cone at 0 {rejected}",
         ]
 
     @pytest.mark.parametrize("flags", [("-O",), ()])

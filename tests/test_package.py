@@ -31,6 +31,9 @@ UNEXPORTED = {
     "fresh_combinations",
     "rational_from_str",
     "ClopenExpr",
+    "extreme_deviation",
+    "DeviationEstimate",
+    "stadium_family",
     "Rational",
 }
 
