@@ -359,7 +359,7 @@ class _Simplex:
         # An absent bound is the integer 0 (lower) or None (upper); a Fraction
         # bound or coefficient is read as is, and anything else is coerced.
         low = [_ratio(lower[v]) if v in lower else (0, 1) for v in self.varkeys]
-        upp = [None if upper.get(v) is None else _ratio(upper[v]) for v in self.varkeys]
+        upp = [None if (u := upper.get(v)) is None else _ratio(u) for v in self.varkeys]
         self.bden = lcm(*[q for _, q in low], *[u[1] for u in upp if u is not None])
         self.low = [a * (self.bden // q) for a, q in low]
         self.upp = [None if u is None else u[0] * (self.bden // u[1]) for u in upp]
