@@ -150,20 +150,27 @@ def load_document(path: str) -> dict:
     """Read a JSON document with a string ``kind`` from a regular file of at most ``DOCUMENT_BYTES_MAX`` bytes.
 
     The path is checked with ``os.stat`` before it is opened, so a FIFO or a
-    device is refused without a read that could block or never end.
+    device is refused without a read that could block or never end.  The
+    read is sized by ``stat``, since a read of ``n`` bytes allocates ``n``
+    at once; a file that has grown since is read on, to one byte past the cap.
     """
     try:
-        mode = os.stat(path).st_mode
+        info = os.stat(path)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not stat.S_ISREG(mode):
-        kind = next((name for test, name in _FILE_TYPES if test(mode)), "special file")
+    if not stat.S_ISREG(info.st_mode):
+        kind = next((name for test, name in _FILE_TYPES if test(info.st_mode)), "special file")
         raise ParseError(f"cannot read {path}: it is a {kind}, not a regular file")
+    too_long = f"{path} exceeds the limit of {DOCUMENT_BYTES_MAX} bytes"
+    if info.st_size > DOCUMENT_BYTES_MAX:
+        raise ParseError(too_long)
     try:
         with open(path, "rb") as handle:
-            data = handle.read(DOCUMENT_BYTES_MAX + 1)
+            data = handle.read(info.st_size + 1)
+            if len(data) > info.st_size:
+                data += handle.read(DOCUMENT_BYTES_MAX + 1 - len(data))
         if len(data) > DOCUMENT_BYTES_MAX:
-            raise ParseError(f"{path} exceeds the limit of {DOCUMENT_BYTES_MAX} bytes")
+            raise ParseError(too_long)
         text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc

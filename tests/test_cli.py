@@ -611,6 +611,17 @@ class TestExitCodes:
         over.write_text(text + "\n\n")
         assert cli.main(["vertices", str(over)]) == 2
         assert f"exceeds the limit of {len(text) + 1} bytes" in capsys.readouterr().err
+        # A file that has grown since stat read its size is read on to the cap.
+        real_stat = os.stat
+
+        def stale(path, *args, **kwargs):
+            info = real_stat(path, *args, **kwargs)
+            return os.stat_result((*info[:6], 0, *info[7:])) if str(path) in (str(at_cap), str(over)) else info
+
+        monkeypatch.setattr(os, "stat", stale)
+        assert cli.main(["vertices", str(at_cap)]) == 0
+        assert cli.main(["vertices", str(over)]) == 2
+        assert f"exceeds the limit of {len(text) + 1} bytes" in capsys.readouterr().err
 
     def test_precondition_messages_name_the_violation(self, files, capsys):
         assert cli.main(["poulsen", files["spike5"], "--epsilon", "1/2", "--steps", "1"]) == 3
