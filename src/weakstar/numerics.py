@@ -17,10 +17,15 @@ The solver is a two-phase primal simplex with Bland's anti-cycling rule.
 Bounds are handled implicitly (bound substitution) instead of as explicit
 rows; that keeps the tableaus small for the box- and simplex-constrained
 programs the geometry modules generate.  The tableau is fraction-free: each
-row is a list of integers over one positive denominator, so a pivot is
-integer arithmetic on the pivot row's nonzero columns.  Rows are reduced
-lazily: the pivot row is brought to lowest terms at every pivot, and any
-other row only once its denominator passes ``ROW_BITS_MAX`` bits.  Ratio
+row is a list of integers over its own positive denominator, so a pivot is
+integer arithmetic on the pivot row's nonzero columns.  It is also condensed
+(the dictionary form): a row holds the nonbasic columns only, each in a slot,
+since a basic column is the row's denominator in its own row and 0 in every
+other.  A pivot exchanges the entering column for the leaving one in the
+entering column's slot, and Bland's rule picks the smallest eligible column
+index over the slots, which a pivot leaves out of column order.  Rows are
+reduced lazily: the pivot row is brought to lowest terms at every pivot, and
+any other row only once its denominator passes ``ROW_BITS_MAX`` bits.  Ratio
 tests and sign tests compare integer pairs by cross-multiplication, which no
 common factor of a row can change, so every decision, and hence every pivot,
 is the one exact rational arithmetic would make.
@@ -326,15 +331,20 @@ def _lowest_terms(nums: list[int], den: int) -> tuple[list[int], int]:
 
 
 class _Simplex:
-    """Bounded-variable two-phase simplex on an integer-row tableau.
+    """Bounded-variable two-phase simplex on a condensed integer-row tableau.
 
-    Row ``i`` of the tableau is the rational row ``T[i] / den[i]`` with right
-    side ``b[i] / den[i]``: integer numerators over one positive denominator.
-    The reduced-cost row is ``d / dden`` in the same form.  A built row is in
-    lowest terms, and so is the pivot row after each pivot; any other row a
-    pivot or bound flip rescales is reduced only once its denominator passes
-    ``ROW_BITS_MAX`` bits, so every row is in lowest terms or within that
-    bound.  All pivoting, flipping and comparison is exact integer
+    The tableau holds the nonbasic columns only.  ``nb[q]`` is the column in
+    slot ``q``, and ``slot[j]`` is column ``j``'s slot, or -1 while ``j`` is
+    basic; there are ``ncols - len(rows)`` slots.  Row ``i`` is the rational
+    row ``T[i] / den[i]`` over the slots with right side ``b[i] / den[i]``:
+    integer numerators over its own positive denominator.  Its basic column
+    ``basis[i]`` is implicitly 1 in it, and every other basic column is
+    implicitly 0, so neither is stored.  The reduced-cost row is ``d / dden``
+    over the same slots; a basic column's reduced cost is 0.  A built row is
+    in lowest terms, and so is the pivot row after each pivot; any other row
+    a pivot or bound flip rescales is reduced only once its denominator
+    passes ``ROW_BITS_MAX`` bits, so every row is in lowest terms or within
+    that bound.  All pivoting, flipping and comparison is exact integer
     arithmetic, and no comparison depends on a row's common factor;
     ``Fraction`` values, always normalized, are formed only when a solution
     is read off.
@@ -404,6 +414,7 @@ class _Simplex:
         Row i is ``row_sign[i]`` times the shifted caller row and its slack
         (+1 on <=, -1 on >=), with a nonnegative right side.  Where the signed
         slack is not +1, an artificial column (in row order) starts basic.
+        The nonbasic columns take the slots in increasing order.
         """
         m = len(self.rows)
         n = self.nstruct
@@ -433,28 +444,39 @@ class _Simplex:
                 next_art += 1
         self.ncols = next_art
 
+        basic = set(self.basis)
+        self.nb = [j for j in range(self.ncols) if j not in basic]
+        self.slot = [-1] * self.ncols
+        for q, j in enumerate(self.nb):
+            self.slot[j] = q
+        width = len(self.nb)
+
+        # The basic column, slack or artificial, is |scale| * den: the row's
+        # denominator, left implicit.  Structurals are never basic here.
         self.T: list[list[int]] = []
         self.b: list[int] = []
         self.den: list[int] = []
         for i, (nums, rel, _, den) in enumerate(self.rows):
             b, scale = shifted[i]
-            row = [0] * self.ncols
+            row = [0] * width
             for j, a in nums.items():
-                row[j] = scale * a
-            if rel != EQ:
-                row[self.slack_col[i]] = scale * _SLACK[rel] * den
-            if self.art_col[i] is not None:
-                row[self.art_col[i]] = abs(scale) * den
+                row[self.slot[j]] = scale * a
+            if self.art_col[i] is not None and rel != EQ:
+                row[self.slot[self.slack_col[i]]] = scale * _SLACK[rel] * den
             self.T.append(row)
             self.b.append(b)
             self.den.append(abs(scale) * den)
             self._reduce(i)
 
-        # Upper bounds per column (shifted): structural get upp-low, the rest none.
-        self.ub: list[Fraction | None] = [
-            None if u is None else Fraction(u - low, self.bden) for u, low in zip(self.upp, self.low)
-        ]
-        self.ub.extend([None] * (self.ncols - n))
+        # Upper bounds per column (shifted), as integer pairs in lowest terms:
+        # a structural's is (upp - low) / bden, a slack or artificial has none.
+        self.ub_num: list[int | None] = [None] * self.ncols
+        self.ub_den: list[int] = [1] * self.ncols
+        for j, (u, low) in enumerate(zip(self.upp, self.low)):
+            if u is not None:
+                g = gcd(u - low, self.bden)
+                self.ub_num[j], self.ub_den[j] = (u - low) // g, self.bden // g
+        self.fixed = {j for j, u in enumerate(self.ub_num) if u == 0}
         self.flipped = [False] * self.ncols
         self.live_rows = list(range(m))
 
@@ -468,9 +490,9 @@ class _Simplex:
             self.den[i] //= g
 
     def _reduced_costs(self, col_cost: list[Fraction | int]):
-        """Set ``d / dden`` to ``col_cost`` minus the basic costs times the rows."""
+        """Set ``d / dden`` to ``col_cost`` minus the basic costs times the rows, over the slots."""
         dden = lcm(*[c.denominator for c in col_cost])
-        d = [c.numerator * (dden // c.denominator) for c in col_cost]
+        d = [col_cost[j].numerator * (dden // col_cost[j].denominator) for j in self.nb]
         for i in self.live_rows:
             cb = col_cost[self.basis[i]]
             if cb:
@@ -483,19 +505,24 @@ class _Simplex:
     # -- pivoting ------------------------------------------------------------
 
     def _pivot(self, r: int, e: int):
-        """Make column e basic in row r.
+        """Make column e basic in row r, in exchange for row r's basic column.
 
-        The pivot row, divided by its entry in column e, is ``T[r] / T[r][e]``
-        (its old denominator cancels); it is brought to lowest terms, since
-        its denominator ``p`` multiplies every other row.  Every other row with
-        a nonzero factor ``f`` in column e becomes
-        ``(row * p - f * T[r]) / (den * p)``, which touches only the pivot
-        row's nonzero columns beyond the rescaling, and is reduced only past
-        ``ROW_BITS_MAX``.
+        With ``q = slot[e]``, the pivot row becomes ``T[r]`` with slot q set to
+        ``den[r]`` (the leaving column's implicit entry) over ``p = T[r][q]``,
+        made positive and brought to lowest terms, since ``p`` multiplies
+        every other row.  Every other row with a nonzero factor ``f`` in slot
+        q becomes ``(row with slot q set to 0) * p - f * prow`` over
+        ``den * p``, and so does the reduced-cost row; a row with ``f == 0``
+        is untouched, and a rescaled row is reduced only past
+        ``ROW_BITS_MAX``.  The leaving column then takes slot q.
         """
-        p = self.T[r][e]
+        q = self.slot[e]
+        leave = self.basis[r]
+        prow = self.T[r]
+        p = prow[q]
+        prow[q] = self.den[r]
         if p < 0:
-            self.T[r] = [-x for x in self.T[r]]
+            self.T[r] = [-x for x in prow]
             self.b[r] = -self.b[r]
         self.den[r] = abs(p)
         self._reduce(r)
@@ -505,9 +532,10 @@ class _Simplex:
             if i == r:
                 continue
             row = self.T[i]
-            f = row[e]
+            f = row[q]
             if f:
                 new = [x * p for x in row] if p != 1 else list(row)
+                new[q] = 0
                 for j, y in support:
                     new[j] -= f * y
                 self.T[i] = new
@@ -515,49 +543,53 @@ class _Simplex:
                 self.den[i] *= p
                 if self.den[i].bit_length() > ROW_BITS_MAX:
                     self._reduce(i)
-        f = self.d[e]
+        f = self.d[q]
         if f:
             d = [x * p for x in self.d] if p != 1 else list(self.d)
+            d[q] = 0
             for j, y in support:
                 d[j] -= f * y
             self.d, self.dden = d, self.dden * p
             if self.dden.bit_length() > ROW_BITS_MAX:
                 self.d, self.dden = _lowest_terms(d, self.dden)
         self.basis[r] = e
+        self.nb[q] = leave
+        self.slot[leave] = q
+        self.slot[e] = -1
 
     def _flip_nonbasic(self, e: int):
-        u = self.ub[e]
-        if u is None:
+        un = self.ub_num[e]
+        if un is None:
             raise CertificateError("bound flip on a column without an upper bound")
-        un, ud = u.numerator, u.denominator
+        ud = self.ub_den[e]
+        q = self.slot[e]
         for i in self.live_rows:
-            a = self.T[i][e]
+            a = self.T[i][q]
             if a:
                 # rhs - u * a over den, all rescaled by u's denominator.
                 if ud != 1:
                     self.T[i] = [x * ud for x in self.T[i]]
                     self.den[i] *= ud
                 self.b[i] = self.b[i] * ud - un * a
-                self.T[i][e] = -a * ud
+                self.T[i][q] = -a * ud
                 if self.den[i].bit_length() > ROW_BITS_MAX:
                     self._reduce(i)
-        self.d[e] = -self.d[e]
+        self.d[q] = -self.d[q]
         self.flipped[e] = not self.flipped[e]
 
     def _flip_basic_row(self, r: int):
         """Re-express the basic variable of row r relative to its upper bound.
 
-        The pivot on row r that always follows brings it to lowest terms.
+        Its implicit entry stays the row's denominator.  The pivot on row r
+        that always follows brings the row to lowest terms.
         """
         var = self.basis[r]
-        u = self.ub[var]
-        if u is None:
+        un = self.ub_num[var]
+        if un is None:
             raise CertificateError("bound flip on a basic variable without an upper bound")
-        un, ud = u.numerator, u.denominator
+        ud = self.ub_den[var]
         den = self.den[r]
-        row = [-x * ud for x in self.T[r]]
-        row[var] = den * ud
-        self.T[r] = row
+        self.T[r] = [-x * ud for x in self.T[r]]
         self.b[r] = un * den - ud * self.b[r]
         self.den[r] = den * ud
         self.flipped[var] = not self.flipped[var]
@@ -565,47 +597,42 @@ class _Simplex:
     def _iterate(self, allow_artificials: bool) -> int | None:
         """Run Bland pivots; return None at an optimum, else the entering column no row blocks.
 
-        Step lengths are compared as integer pairs ``num / den`` with ``den > 0``
-        by cross-multiplication, so every comparison is the exact rational one.
+        Bland's rule enters the smallest eligible column, whatever its slot:
+        slots are not in column order once a pivot has exchanged two columns.
+        Step lengths are compared as integer pairs ``num / den`` with
+        ``den > 0`` by cross-multiplication, so every comparison is the exact
+        rational one.
         """
-        basic_set = set(self.basis[i] for i in self.live_rows)
+        barred = self.fixed if allow_artificials else self.fixed.union(range(self.first_art, self.ncols))
+        nb, ub_num, ub_den = self.nb, self.ub_num, self.ub_den
         while True:
-            d = self.d
             enter = None
-            for j in range(self.ncols):
-                if j in basic_set:
-                    continue
-                if j >= self.first_art and not allow_artificials:
-                    continue
-                u = self.ub[j]
-                if u == 0:
-                    continue  # fixed variable
-                if d[j] < 0:
-                    enter = j
-                    break
+            for q, x in enumerate(self.d):
+                if x < 0:
+                    j = nb[q]
+                    if (enter is None or j < enter) and j not in barred:
+                        enter, eq = j, q
             if enter is None:
                 return None
 
             # Ratio test: smallest blocking step; Bland tie-break on variable index.
-            u = self.ub[enter]
-            if u is None:
-                best_n = best_d = None
-            else:
-                best_n, best_d = u.numerator, u.denominator
+            best_n = ub_num[enter]
+            best_d = ub_den[enter]
             best_kind = "flip"
             best_row = -1
             best_var = enter if best_n is not None else self.ncols
             for i in self.live_rows:
-                a = self.T[i][enter]
+                a = self.T[i][eq]
                 if a > 0:
                     tn, td = self.b[i], a
                     kind = "lower"
                 elif a < 0:
-                    ub_b = self.ub[self.basis[i]]
-                    if ub_b is None:
+                    bvar = self.basis[i]
+                    un = ub_num[bvar]
+                    if un is None:
                         continue
-                    q = ub_b.denominator
-                    tn, td = ub_b.numerator * self.den[i] - q * self.b[i], -a * q
+                    ud = ub_den[bvar]
+                    tn, td = un * self.den[i] - ud * self.b[i], -a * ud
                     kind = "upper"
                 else:
                     continue
@@ -624,30 +651,34 @@ class _Simplex:
             else:
                 if best_kind == "upper":
                     self._flip_basic_row(best_row)
-                basic_set.discard(self.basis[best_row])
                 self._pivot(best_row, enter)
-                basic_set.add(enter)
 
     # -- value extraction ----------------------------------------------------
 
-    def _assignment_shifted(self) -> list[Fraction]:
-        x = [_FRACTION_ZERO] * self.ncols
-        for j in range(self.ncols):
-            if self.flipped[j]:
-                u = self.ub[j]
-                if u is None:
-                    raise CertificateError("flipped column without an upper bound")
-                x[j] = u
-        for i in self.live_rows:
-            j = self.basis[i]
-            value = Fraction(self.b[i], self.den[i])
-            x[j] = (self.ub[j] - value) if self.flipped[j] else value
-        return x
-
     def _structural_values(self) -> list[Fraction]:
-        """The caller's variables, in order, at the current basic solution."""
-        x = self._assignment_shifted()
-        return [x[j] + Fraction(low, self.bden) if low else x[j] for j, low in enumerate(self.low)]
+        """The caller's variables, in order, at the current basic solution.
+
+        Each is formed in integers over ``bden`` (times its row's denominator
+        when basic) and made one ``Fraction``: a nonbasic variable sits at its
+        lower or, flipped, its upper bound, and a basic one is its row's
+        right side above the lower bound or, flipped, below the upper.
+        """
+        bden = self.bden
+        row_of = {self.basis[i]: i for i in self.live_rows}
+        x: list[Fraction] = []
+        for j, low in enumerate(self.low):
+            i = row_of.get(j)
+            if i is not None:
+                den, b = self.den[i], self.b[i]
+                if self.flipped[j]:
+                    x.append(Fraction(self.upp[j] * den - b * bden, den * bden))
+                else:
+                    x.append(Fraction(b * bden + low * den, den * bden))
+            elif self.flipped[j]:
+                x.append(Fraction(self.upp[j], bden))
+            else:
+                x.append(Fraction(low, bden) if low else _FRACTION_ZERO)
+        return x
 
     # -- driver --------------------------------------------------------------
 
@@ -685,15 +716,16 @@ class _Simplex:
         return BoundedOptimal(-raw, dict(zip(self.varkeys, values)))
 
     def _evict_artificials(self):
-        """Pivot residual zero-level artificials out of the basis; drop redundant rows."""
+        """Pivot residual zero-level artificials out of the basis; drop redundant rows.
+
+        The column entering for row i is the smallest non-artificial column
+        with a nonzero entry in it; only a nonbasic column can have one.
+        """
         for i in list(self.live_rows):
             if self.basis[i] < self.first_art:
                 continue
-            target = None
-            for j in range(self.first_art):
-                if self.T[i][j]:
-                    target = j
-                    break
+            row = self.T[i]
+            target = min((j for q, j in enumerate(self.nb) if j < self.first_art and row[q]), default=None)
             if target is None:
                 self.live_rows.remove(i)
             else:
@@ -703,15 +735,18 @@ class _Simplex:
         """The row multipliers ``y`` at the current reduced costs of ``col_cost``.
 
         ``y_i`` is ``row_sign[i]`` times the cost minus the reduced cost of row
-        i's artificial column, or of its slack column when it has none, formed
-        in integers over ``c.denominator * dden`` and made a ``Fraction`` once.
+        i's artificial column, or of its slack column when it has none (0 while
+        that column is basic), formed in integers over ``c.denominator * dden``
+        and made a ``Fraction`` once.
         """
         mult = []
         for i, sign in enumerate(self.row_sign):
             col = self.art_col[i] if self.art_col[i] is not None else self.slack_col[i]
             c = col_cost[col]
             q = c.denominator
-            mult.append(Fraction(sign * (c.numerator * self.dden - q * self.d[col]), q * self.dden))
+            s = self.slot[col]
+            reduced = self.d[s] if s >= 0 else 0
+            mult.append(Fraction(sign * (c.numerator * self.dden - q * reduced), q * self.dden))
         return mult
 
     # -- exact self-checks on the caller's rows ------------------------------

@@ -1,7 +1,8 @@
 """Differential test: the integer certificate checks against the frozen ``Fraction`` ones.
 
 On small random programs, drawn as in ``test_simplex_differential.py``, the
-engine must build the same integer tableau as the frozen build, and its checks
+engine must build the same integer tableau as the frozen build (its condensed
+rows widened to full width), and its checks
 must accept and reject the same witness points and multipliers as the frozen
 checks, with the same message.  The witness and multipliers are the ones the
 engine's own checks saw (an infeasible program's witness is its lower-bound
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _certificate_oracle import FractionCertificates
+from test_pivot_differential import widened
 from test_simplex_differential import bounded_lps
 from weakstar.errors import CertificateError
 from weakstar.numerics import _Simplex
@@ -81,7 +83,8 @@ def test_checks_agree_with_the_fraction_checks(lp, data):
     new = _Simplex(variables, objective, rows, lower, upper)
     old._build_tableau()
     new._build_tableau()
-    assert (new.T, new.b, new.den, new.basis, new.row_sign) == (old.T, old.b, old.den, old.basis, old.row_sign)
+    full = [widened(new, i) for i in range(len(new.T))]
+    assert (full, new.b, new.den, new.basis, new.row_sign) == (old.T, old.b, old.den, old.basis, old.row_sign)
 
     found = engine_certificates(_Simplex(variables, objective, rows, lower, upper))
     if found is None:

@@ -137,7 +137,7 @@ def test_certificate_checks_never_read_the_tableau():
     # The checks certify the tableau's answer against the caller's program,
     # encoded once in ``__init__``; reading the tableau would certify it
     # against itself.
-    tableau = {"T", "b", "den", "d", "dden", "basis"}
+    tableau = {"T", "b", "den", "d", "dden", "basis", "nb", "slot", "ub_num", "ub_den"}
     encoding = {"rows", "low", "upp", "bden", "cost_nums", "cost_den", "varkeys", "_combine"}
     for name in ("_check_feasible_point", "_combine", "_check_optimal_bound", "_check_infeasibility"):
         read = _self_attributes(getattr(numerics._Simplex, name))

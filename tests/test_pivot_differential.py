@@ -1,18 +1,24 @@
-"""Differential test: lazy row reduction against the frozen eager updates, pivot by pivot.
+"""Differential test: lazy row reduction on condensed rows against the frozen eager updates, pivot by pivot.
 
-The engine reduces a tableau row other than the pivot row only once its
-denominator passes ``numerics.ROW_BITS_MAX`` bits; ``_pivot_oracle.EagerSimplex``
-reduces every row it touches at once.  Every decision is a cross-multiplication
-that no common factor of a row can change, so both must make the same pivots
-and flips, hold the same basis, the same flipped columns and the same rational
-rows ``T[i] / den[i]``, ``b[i] / den[i]`` and ``d / dden`` after each one, and
-give the same outcome.  The programs are random ones with small denominators,
-random ones with wide denominators that push rows past the bound, and the
-exposure programs of five shuffled stadium polygons.
+The engine keeps each tableau row over the nonbasic columns only and reduces
+a row other than the pivot row only once its denominator passes
+``numerics.ROW_BITS_MAX`` bits; ``_pivot_oracle.EagerSimplex`` updates rows
+over every column and reduces every row it touches at once.  Every decision
+is a cross-multiplication that no common factor of a row can change, so both
+must make the same pivots and flips, hold the same basis, the same flipped
+columns and the same rational rows ``T[i] / den[i]``, ``b[i] / den[i]`` and
+``d / dden`` after each one, and give the same outcome.  A condensed row is
+widened to full width before it is compared: its denominator at its own basic
+column and 0 at the other basic columns.  The programs are random ones with
+small denominators, random ones with wide denominators that push rows past
+the bound, and the exposure programs of five shuffled stadium polygons.
 
 A growth guard runs on every pivot: each row's denominator must stay
 within the bound plus the bit length of the reduced pivot row's denominator,
 unless the row is in lowest terms.  An engine that never reduces must break it.
+The condensed engine's layout is checked after the build and every step:
+each live row has ``ncols - len(rows)`` slots, and the slot columns and the
+basic columns partition the columns.
 """
 
 from __future__ import annotations
@@ -52,10 +58,49 @@ def lowest(den: int, nums: list[int]) -> tuple[int, ...]:
     return tuple(x // g for x in (den, *nums))
 
 
+def widened(solver: _Simplex, i: int) -> list[int]:
+    """Row i's numerators over every column: ``den[i]`` at its basic column, 0 at the other basic columns."""
+    full = [0] * solver.ncols
+    for j, x in zip(solver.nb, solver.T[i]):
+        full[j] = x
+    full[solver.basis[i]] = solver.den[i]
+    return full
+
+
+class FullWidthEager(EagerSimplex):
+    """The frozen eager updates on full-width rows.
+
+    The build widens every row and gives each column its own slot, which the
+    frozen updates, indexing rows by column, leave as it is.  A basic column's
+    reduced cost is then held as 0, so the engine's pricing, ratio test and
+    read-off see the same values as on condensed rows.  The frozen flips read
+    each upper bound as a ``Fraction``.
+    """
+
+    def _build_tableau(self):
+        super()._build_tableau()
+        self.T = [widened(self, i) for i in range(len(self.T))]
+        self.nb, self.slot = list(range(self.ncols)), list(range(self.ncols))
+        self.ub = [None if u is None else Fraction(u, q) for u, q in zip(self.ub_num, self.ub_den)]
+
+
 def state(solver: _Simplex) -> tuple:
-    """Basis, flipped columns, live rows, and each live row and the cost row as rationals."""
-    rows = tuple(lowest(solver.den[i], [solver.b[i], *solver.T[i]]) for i in solver.live_rows)
-    return tuple(solver.basis), tuple(solver.flipped), tuple(solver.live_rows), rows, lowest(solver.dden, solver.d)
+    """Basis, flipped columns, live rows, and each live row and the cost row, at full width, as rationals."""
+    rows = tuple(lowest(solver.den[i], [solver.b[i], *widened(solver, i)]) for i in solver.live_rows)
+    d = [0] * solver.ncols
+    for j, x in zip(solver.nb, solver.d):
+        d[j] = x
+    return tuple(solver.basis), tuple(solver.flipped), tuple(solver.live_rows), rows, lowest(solver.dden, d)
+
+
+def check_condensed(solver: _Simplex):
+    """Every live row (and the cost row, once made) holds one entry per slot; the slots and the basis partition the columns."""
+    width = solver.ncols - len(solver.rows)
+    assert len(solver.nb) == width and len(getattr(solver, "d", solver.nb)) == width
+    assert all(len(solver.T[i]) == width for i in solver.live_rows)
+    assert sorted([*solver.nb, *solver.basis]) == list(range(solver.ncols))
+    assert all(solver.slot[j] == q for q, j in enumerate(solver.nb))
+    assert all(solver.slot[j] == -1 for j in solver.basis)
 
 
 def check_growth(solver: _Simplex, r: int):
@@ -70,12 +115,14 @@ def check_growth(solver: _Simplex, r: int):
 def run_steps(cls, program, stats: Counter | None = None):
     """Run ``cls`` on ``program``: its outcome and ``(step, arguments, state)`` after every pivot and flip.
 
-    The growth guard checks every pivot.  ``stats`` counts the rows reduced
+    The growth guard checks every pivot, and on the condensed engine
+    ``check_condensed`` checks the build and every step.  ``stats`` counts the rows reduced
     lazily (by a pivot other than the pivot row's, or by a flip) as
     ``"reduced"``, and the steps after which some row is not in lowest terms
     as ``"unreduced"``.
     """
     solver = cls(*program)
+    condensed = cls is _Simplex
     steps = []
     stats = Counter() if stats is None else stats
     pivot_row = []  # the row a running pivot keeps, or -1 in a flip
@@ -94,6 +141,8 @@ def run_steps(cls, program, stats: Counter | None = None):
             pivot_row.pop()
             if name == "_pivot":
                 check_growth(solver, args[0])
+            if condensed:
+                check_condensed(solver)
             snapshot = state(solver)
             if any(row[0] != solver.den[i] for i, row in zip(solver.live_rows, snapshot[3])):
                 stats["unreduced"] += 1
@@ -101,7 +150,13 @@ def run_steps(cls, program, stats: Counter | None = None):
 
         return step
 
+    def build(real=solver._build_tableau):
+        real()
+        if condensed:
+            check_condensed(solver)
+
     solver._reduce = reduce
+    solver._build_tableau = build
     for name in ("_pivot", "_flip_nonbasic", "_flip_basic_row"):
         setattr(solver, name, recorded(name))
     try:
@@ -112,7 +167,7 @@ def run_steps(cls, program, stats: Counter | None = None):
 
 
 def assert_same_path(program, stats: Counter):
-    want, eager_steps = run_steps(EagerSimplex, program)
+    want, eager_steps = run_steps(FullWidthEager, program)
     got, lazy_steps = run_steps(_Simplex, program, stats)
     assert len(lazy_steps) == len(eager_steps)
     for k, (lazy, eager) in enumerate(zip(lazy_steps, eager_steps)):
