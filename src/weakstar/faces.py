@@ -101,7 +101,13 @@ def exposed_all(body: Polyhedron) -> list[ExposureCertificate]:
 
 
 def certificate_is_valid(cert: ExposureCertificate, body: Polyhedron) -> bool:
-    """Re-check a certificate by direct pairing against the body's extreme points."""
+    """Re-check a certificate by direct pairing against the body's extreme points.
+
+    A body with rays is refused, as by ``exposure_certificate``: the vertices
+    alone cannot show that the functional does not rise along a ray.
+    """
+    if body.rays:
+        raise UnboundedInput("exposure certificates are computed for bounded bodies")
     hull = closed_convex_hull(body)
     if cert.vertex not in hull.vertices:
         return False

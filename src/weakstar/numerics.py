@@ -16,19 +16,23 @@ feasible set, as every program here is; an unbounded one raises ``ValueError``.
 The solver is a two-phase primal simplex with Bland's anti-cycling rule.
 Bounds are handled implicitly (bound substitution) instead of as explicit
 rows; that keeps the tableaus small for the box- and simplex-constrained
-programs the geometry modules generate.  The tableau is fraction-free: each
-row is a list of integers over its own positive denominator, so a pivot is
-integer arithmetic on the pivot row's nonzero columns.  It is also condensed
-(the dictionary form): a row holds the nonbasic columns only, each in a slot,
-since a basic column is the row's denominator in its own row and 0 in every
-other.  A pivot exchanges the entering column for the leaving one in the
-entering column's slot, and Bland's rule picks the smallest eligible column
-index over the slots, which a pivot leaves out of column order.  Rows are
-reduced lazily: the pivot row is brought to lowest terms at every pivot, and
-any other row only once its denominator passes ``ROW_BITS_MAX`` bits.  Ratio
-tests and sign tests compare integer pairs by cross-multiplication, which no
-common factor of a row can change, so every decision, and hence every pivot,
-is the one exact rational arithmetic would make.
+programs the geometry modules generate.  A bounded variable is measured in
+units of its room ``upper - lower``, so its upper bound is 1 (Dantzig's
+upper-bounding technique with unit bounds), and a bound flip only changes
+signs and right sides.  The tableau is fraction-free: each row is a list of
+integers over its own positive denominator, so a pivot is integer arithmetic
+on the pivot row's nonzero columns.  It is also condensed (the dictionary
+form): a row holds the nonbasic columns only, each in a slot, since a basic
+column is the row's denominator in its own row and 0 in every other.  A pivot
+exchanges the entering column for the leaving one in the entering column's
+slot, and Bland's rule picks the smallest eligible column index over the
+slots, which a pivot leaves out of column order.  Only a pivot rescales rows,
+and it reduces them lazily: the pivot row is brought to lowest terms at every
+pivot, and any other row only once its denominator passes ``ROW_BITS_MAX``
+bits.  Ratio tests and sign tests compare integer pairs by
+cross-multiplication, which no common factor of a row can change, so every
+decision, and hence every pivot, is the one exact rational arithmetic would
+make.
 
 The boundary with the callers is integer-native.  A ``Fraction`` coefficient
 or bound is read by its numerator and denominator, and only other values are
@@ -340,9 +344,10 @@ class _Simplex:
     integer numerators over its own positive denominator.  Its basic column
     ``basis[i]`` is implicitly 1 in it, and every other basic column is
     implicitly 0, so neither is stored.  The reduced-cost row is ``d / dden``
-    over the same slots; a basic column's reduced cost is 0.  A built row is
-    in lowest terms, and so is the pivot row after each pivot; any other row
-    a pivot or bound flip rescales is reduced only once its denominator
+    over the same slots; a basic column's reduced cost is 0.  Bounded columns
+    are unit-scaled (see ``_build_tableau``), so a bound flip rescales no row.
+    A built row is in lowest terms, and so is the pivot row after each pivot;
+    any other row a pivot rescales is reduced only once its denominator
     passes ``ROW_BITS_MAX`` bits, so every row is in lowest terms or within
     that bound.  All pivoting, flipping and comparison is exact integer
     arithmetic, and no comparison depends on a row's common factor;
@@ -378,12 +383,12 @@ class _Simplex:
                 raise ValueError(f"variable {self.varkeys[j]!r} has empty bound interval")
 
         # Minimization internally, of the negated objective.
-        self.cost: list[Fraction | int] = [0] * self.nstruct
+        cost: list[Fraction | int] = [0] * self.nstruct
         for v, coef in objective.items():
             if v not in index:
                 raise ValueError(f"objective mentions unknown variable {v!r}")
-            self.cost[index[v]] = -as_rational(coef)
-        self.cost_nums, self.cost_den = _over_one_denominator(self.cost)
+            cost[index[v]] = -as_rational(coef)
+        self.cost_nums, self.cost_den = _over_one_denominator(cost)
 
         self.rows: list[tuple[dict[int, int], str, int, int]] = []
         for coeffs, rel, rhs in rows:
@@ -409,31 +414,36 @@ class _Simplex:
     # -- setup ---------------------------------------------------------------
 
     def _build_tableau(self):
-        """Shift lowers to zero, add slack and artificial columns, pick a basis.
+        """Shift lowers to zero, scale bounded columns to [0, 1], add slack and artificial columns, pick a basis.
 
         Row i is ``row_sign[i]`` times the shifted caller row and its slack
         (+1 on <=, -1 on >=), with a nonnegative right side.  Where the signed
         slack is not +1, an artificial column (in row order) starts basic.
         The nonbasic columns take the slots in increasing order.
+
+        A structural with room ``upp - low > 0`` is measured in units of its
+        room, with upper bound 1; any other is measured in units of the
+        caller's, with upper bound 0 (fixed) or none.  ``scale[j]`` is column
+        j's unit times ``bden``, and ``ub[j]`` is 1, 0 or ``None``.
         """
         m = len(self.rows)
         n = self.nstruct
+        bden, low = self.bden, self.low
+        self.scale = [bden if u is None or u == lo else u - lo for u, lo in zip(self.upp, low)]
         self.slack_col: list[int | None] = [None] * m
         self.art_col: list[int | None] = [None] * m
         self.basis: list[int] = [-1] * m
         self.row_sign: list[int] = []
         self.first_art = n + sum(rel != EQ for _, rel, _, _ in self.rows)
         next_slack, next_art = n, self.first_art
-        # Row i times row_sign[i] is kept over den * |scale|: its right side is b
-        # and each numerator is multiplied by scale, which carries the sign and
-        # is bden when a nonzero lower bound shifts the row, else 1.
-        shifted: list[tuple[int, int]] = []
+        # Row i times row_sign[i] is kept over den * bden, with right side
+        # rhs * bden less the lower bounds' share.
+        self.b: list[int] = []
         for i, (nums, rel, rhs, _) in enumerate(self.rows):
-            shift = sum(a * self.low[j] for j, a in nums.items() if self.low[j])
-            b, scale = (rhs * self.bden - shift, self.bden) if shift else (rhs, 1)
+            b = rhs * bden - sum(a * low[j] for j, a in nums.items() if low[j])
             sign = -1 if b < 0 else 1
             self.row_sign.append(sign)
-            shifted.append((sign * b, sign * scale))
+            self.b.append(sign * b)
             if rel != EQ:
                 self.slack_col[i] = next_slack
                 next_slack += 1
@@ -451,32 +461,23 @@ class _Simplex:
             self.slot[j] = q
         width = len(self.nb)
 
-        # The basic column, slack or artificial, is |scale| * den: the row's
+        # The basic column, slack or artificial, is den * bden: the row's
         # denominator, left implicit.  Structurals are never basic here.
         self.T: list[list[int]] = []
-        self.b: list[int] = []
         self.den: list[int] = []
         for i, (nums, rel, _, den) in enumerate(self.rows):
-            b, scale = shifted[i]
+            sign = self.row_sign[i]
             row = [0] * width
             for j, a in nums.items():
-                row[self.slot[j]] = scale * a
+                row[self.slot[j]] = sign * a * self.scale[j]
             if self.art_col[i] is not None and rel != EQ:
-                row[self.slot[self.slack_col[i]]] = scale * _SLACK[rel] * den
+                row[self.slot[self.slack_col[i]]] = sign * _SLACK[rel] * den * bden
             self.T.append(row)
-            self.b.append(b)
-            self.den.append(abs(scale) * den)
+            self.den.append(den * bden)
             self._reduce(i)
 
-        # Upper bounds per column (shifted), as integer pairs in lowest terms:
-        # a structural's is (upp - low) / bden, a slack or artificial has none.
-        self.ub_num: list[int | None] = [None] * self.ncols
-        self.ub_den: list[int] = [1] * self.ncols
-        for j, (u, low) in enumerate(zip(self.upp, self.low)):
-            if u is not None:
-                g = gcd(u - low, self.bden)
-                self.ub_num[j], self.ub_den[j] = (u - low) // g, self.bden // g
-        self.fixed = {j for j, u in enumerate(self.ub_num) if u == 0}
+        self.ub = [None if u is None else int(u > lo) for u, lo in zip(self.upp, low)] + [None] * (self.ncols - n)
+        self.fixed = {j for j, u in enumerate(self.ub) if u == 0}
         self.flipped = [False] * self.ncols
         self.live_rows = list(range(m))
 
@@ -489,16 +490,15 @@ class _Simplex:
             self.b[i] //= g
             self.den[i] //= g
 
-    def _reduced_costs(self, col_cost: list[Fraction | int]):
-        """Set ``d / dden`` to ``col_cost`` minus the basic costs times the rows, over the slots."""
-        dden = lcm(*[c.denominator for c in col_cost])
-        d = [col_cost[j].numerator * (dden // col_cost[j].denominator) for j in self.nb]
+    def _reduced_costs(self, cost: list[int], cden: int):
+        """Set ``d / dden`` to the column costs ``cost / cden`` minus the basic costs times the rows, over the slots."""
+        d, dden = [cost[j] for j in self.nb], cden
         for i in self.live_rows:
-            cb = col_cost[self.basis[i]]
+            cb = cost[self.basis[i]]
             if cb:
-                # d/dden - cb * row/den over the common denominator dden * q * den.
-                scale = cb.denominator * self.den[i]
-                factor = cb.numerator * dden
+                # d/dden - cb/cden * row/den over the common denominator dden * cden * den.
+                scale = cden * self.den[i]
+                factor = cb * dden
                 d, dden = _lowest_terms([x * scale - factor * y for x, y in zip(d, self.T[i])], dden * scale)
         self.d, self.dden = d, dden
 
@@ -558,40 +558,31 @@ class _Simplex:
         self.slot[e] = -1
 
     def _flip_nonbasic(self, e: int):
-        un = self.ub_num[e]
-        if un is None:
-            raise CertificateError("bound flip on a column without an upper bound")
-        ud = self.ub_den[e]
+        """Move nonbasic column e between its bounds 0 and 1: each row's ``b`` less e's entry, which changes sign."""
+        if self.ub[e] != 1:
+            raise CertificateError("bound flip on a column without a unit upper bound")
         q = self.slot[e]
         for i in self.live_rows:
-            a = self.T[i][q]
+            row = self.T[i]
+            a = row[q]
             if a:
-                # rhs - u * a over den, all rescaled by u's denominator.
-                if ud != 1:
-                    self.T[i] = [x * ud for x in self.T[i]]
-                    self.den[i] *= ud
-                self.b[i] = self.b[i] * ud - un * a
-                self.T[i][q] = -a * ud
-                if self.den[i].bit_length() > ROW_BITS_MAX:
-                    self._reduce(i)
+                self.b[i] -= a
+                row[q] = -a
         self.d[q] = -self.d[q]
         self.flipped[e] = not self.flipped[e]
 
     def _flip_basic_row(self, r: int):
         """Re-express the basic variable of row r relative to its upper bound.
 
-        Its implicit entry stays the row's denominator.  The pivot on row r
-        that always follows brings the row to lowest terms.
+        The row is negated and its right side becomes ``ub * den - b``; its
+        denominator, the basic column's implicit entry, stays as it is.
         """
         var = self.basis[r]
-        un = self.ub_num[var]
-        if un is None:
+        u = self.ub[var]
+        if u is None:
             raise CertificateError("bound flip on a basic variable without an upper bound")
-        ud = self.ub_den[var]
-        den = self.den[r]
-        self.T[r] = [-x * ud for x in self.T[r]]
-        self.b[r] = un * den - ud * self.b[r]
-        self.den[r] = den * ud
+        self.T[r] = [-x for x in self.T[r]]
+        self.b[r] = u * self.den[r] - self.b[r]
         self.flipped[var] = not self.flipped[var]
 
     def _iterate(self, allow_artificials: bool) -> int | None:
@@ -604,7 +595,7 @@ class _Simplex:
         rational one.
         """
         barred = self.fixed if allow_artificials else self.fixed.union(range(self.first_art, self.ncols))
-        nb, ub_num, ub_den = self.nb, self.ub_num, self.ub_den
+        nb, ub = self.nb, self.ub
         while True:
             enter = None
             for q, x in enumerate(self.d):
@@ -615,9 +606,9 @@ class _Simplex:
             if enter is None:
                 return None
 
-            # Ratio test: smallest blocking step; Bland tie-break on variable index.
-            best_n = ub_num[enter]
-            best_d = ub_den[enter]
+            # Ratio test: smallest blocking step in units of the entering column,
+            # a flip being ub[enter]; Bland tie-break on variable index.
+            best_n, best_d = ub[enter], 1
             best_kind = "flip"
             best_row = -1
             best_var = enter if best_n is not None else self.ncols
@@ -627,12 +618,10 @@ class _Simplex:
                     tn, td = self.b[i], a
                     kind = "lower"
                 elif a < 0:
-                    bvar = self.basis[i]
-                    un = ub_num[bvar]
-                    if un is None:
+                    u = ub[self.basis[i]]
+                    if u is None:
                         continue
-                    ud = ub_den[bvar]
-                    tn, td = un * self.den[i] - ud * self.b[i], -a * ud
+                    tn, td = u * self.den[i] - self.b[i], -a
                     kind = "upper"
                 else:
                     continue
@@ -660,8 +649,9 @@ class _Simplex:
 
         Each is formed in integers over ``bden`` (times its row's denominator
         when basic) and made one ``Fraction``: a nonbasic variable sits at its
-        lower or, flipped, its upper bound, and a basic one is its row's
-        right side above the lower bound or, flipped, below the upper.
+        lower or, flipped, its upper bound, and a basic one is ``scale[j]``
+        times ``t / den`` above the lower bound, where ``t`` is its row's right
+        side or, flipped, ``ub * den`` less it.
         """
         bden = self.bden
         row_of = {self.basis[i]: i for i in self.live_rows}
@@ -669,11 +659,10 @@ class _Simplex:
         for j, low in enumerate(self.low):
             i = row_of.get(j)
             if i is not None:
-                den, b = self.den[i], self.b[i]
+                den, t = self.den[i], self.b[i]
                 if self.flipped[j]:
-                    x.append(Fraction(self.upp[j] * den - b * bden, den * bden))
-                else:
-                    x.append(Fraction(b * bden + low * den, den * bden))
+                    t = self.ub[j] * den - t
+                x.append(Fraction(low * den + self.scale[j] * t, den * bden))
             elif self.flipped[j]:
                 x.append(Fraction(self.upp[j], bden))
             else:
@@ -683,10 +672,10 @@ class _Simplex:
     # -- driver --------------------------------------------------------------
 
     def run(self) -> BoundedOutcome:
-        """Build the tableau, drive the artificials to zero and evict them, then optimize ``cost``."""
+        """Build the tableau, drive the artificials to zero and evict them, then optimize the cost."""
         self._build_tableau()
         phase1_cost = [0] * self.first_art + [1] * (self.ncols - self.first_art)
-        self._reduced_costs(phase1_cost)
+        self._reduced_costs(phase1_cost, 1)
         leftover = self._iterate(allow_artificials=True)
         if leftover is not None:
             raise CertificateError("phase 1 objective is bounded below, cannot be unbounded")
@@ -695,15 +684,17 @@ class _Simplex:
         # basic at a nonzero level; a nonbasic one is at zero (it has no upper
         # bound to flip to).
         if any(self.basis[i] >= self.first_art and self.b[i] for i in self.live_rows):
-            mult = self._multipliers(phase1_cost)
+            mult = self._multipliers(phase1_cost, 1)
             self._check_infeasibility(mult)
             return BoundedInfeasible(mult)
         self._evict_artificials()
 
-        col_cost: list[Fraction | int] = [0] * self.ncols
-        for j in range(self.nstruct):
-            col_cost[j] = -self.cost[j] if self.flipped[j] else self.cost[j]
-        self._reduced_costs(col_cost)
+        # Column j's cost is the caller's per unit of column j, over cost_den * bden.
+        col_cost = [0] * self.ncols
+        for j, c in enumerate(self.cost_nums):
+            col_cost[j] = -c * self.scale[j] if self.flipped[j] else c * self.scale[j]
+        cden = self.cost_den * self.bden
+        self._reduced_costs(col_cost, cden)
         enter = self._iterate(allow_artificials=False)
         if enter is not None:
             column = repr(self.varkeys[enter]) if enter < self.nstruct else f"slack column {enter}"
@@ -711,9 +702,10 @@ class _Simplex:
 
         values = self._structural_values()
         self._check_feasible_point(values)
-        self._check_optimal_bound(values, self._multipliers(col_cost))
-        raw = sum((c * x for c, x in zip(self.cost, values) if c), _FRACTION_ZERO)
-        return BoundedOptimal(-raw, dict(zip(self.varkeys, values)))
+        self._check_optimal_bound(values, self._multipliers(col_cost, cden))
+        xs, xden = _over_one_denominator(values)
+        raw = sum(c * x for c, x in zip(self.cost_nums, xs) if c)
+        return BoundedOptimal(Fraction(-raw, self.cost_den * xden), dict(zip(self.varkeys, values)))
 
     def _evict_artificials(self):
         """Pivot residual zero-level artificials out of the basis; drop redundant rows.
@@ -731,22 +723,21 @@ class _Simplex:
             else:
                 self._pivot(i, target)
 
-    def _multipliers(self, col_cost: list[Fraction | int]) -> list[Fraction]:
-        """The row multipliers ``y`` at the current reduced costs of ``col_cost``.
+    def _multipliers(self, cost: list[int], cden: int) -> list[Fraction]:
+        """The row multipliers ``y`` at the current reduced costs of the column costs ``cost / cden``.
 
         ``y_i`` is ``row_sign[i]`` times the cost minus the reduced cost of row
         i's artificial column, or of its slack column when it has none (0 while
-        that column is basic), formed in integers over ``c.denominator * dden``
-        and made a ``Fraction`` once.
+        that column is basic), formed in integers over ``cden * dden`` and made
+        a ``Fraction`` once.  Neither column is scaled, so ``y`` is the
+        caller's.
         """
         mult = []
         for i, sign in enumerate(self.row_sign):
             col = self.art_col[i] if self.art_col[i] is not None else self.slack_col[i]
-            c = col_cost[col]
-            q = c.denominator
             s = self.slot[col]
             reduced = self.d[s] if s >= 0 else 0
-            mult.append(Fraction(sign * (c.numerator * self.dden - q * reduced), q * self.dden))
+            mult.append(Fraction(sign * (cost[col] * self.dden - cden * reduced), cden * self.dden))
         return mult
 
     # -- exact self-checks on the caller's rows ------------------------------

@@ -1,8 +1,10 @@
 """Differential test: the integer certificate checks against the frozen ``Fraction`` ones.
 
 On small random programs, drawn as in ``test_simplex_differential.py``, the
-engine must build the same integer tableau as the frozen build (its condensed
-rows widened to full width), and its checks
+engine must build the same tableau as the frozen build, compared as rationals
+with its condensed rows widened to full width.  The engine measures a bounded
+column in units of its room ``upp - low``, so that column is compared with the
+frozen one times the room.  Its checks
 must accept and reject the same witness points and multipliers as the frozen
 checks, with the same message.  The witness and multipliers are the ones the
 engine's own checks saw (an infeasible program's witness is its lower-bound
@@ -70,6 +72,21 @@ def perturbed(data, vector: list[Fraction]) -> list[Fraction]:
     return out
 
 
+def rooms(old: FractionCertificates) -> list[Fraction]:
+    """Each column's unit in the engine's build: a structural's room ``upp - low`` when positive, else 1."""
+    room = [1 if u is None or u == low else u - low for u, low in zip(old.upp, old.low)]
+    return room + [1] * (old.ncols - old.nstruct)
+
+
+def rational_rows(solver, rows: list[list[int]], units=None) -> list[list[Fraction]]:
+    """Each built row as rationals, right side first, its column j multiplied by ``units[j]``."""
+    units = units or [1] * solver.ncols
+    return [
+        [Fraction(b, den), *(Fraction(x, den) * u for x, u in zip(row, units))]
+        for row, b, den in zip(rows, solver.b, solver.den)
+    ]
+
+
 def combined_as_fractions(result):
     combined, total, cden = result
     return {j: Fraction(g, cden) for j, g in combined.items() if g}, Fraction(total, cden)
@@ -83,8 +100,11 @@ def test_checks_agree_with_the_fraction_checks(lp, data):
     new = _Simplex(variables, objective, rows, lower, upper)
     old._build_tableau()
     new._build_tableau()
-    full = [widened(new, i) for i in range(len(new.T))]
-    assert (full, new.b, new.den, new.basis, new.row_sign) == (old.T, old.b, old.den, old.basis, old.row_sign)
+    assert (rational_rows(new, [widened(new, i) for i in range(len(new.T))]), new.basis, new.row_sign) == (
+        rational_rows(old, old.T, rooms(old)),
+        old.basis,
+        old.row_sign,
+    )
 
     found = engine_certificates(_Simplex(variables, objective, rows, lower, upper))
     if found is None:

@@ -84,6 +84,13 @@ class TestExposureCertificate:
         with pytest.raises(UnboundedInput):
             exposed_all(body)
 
+    def test_certificate_check_refuses_a_body_with_rays(self):
+        # The functional e0 + e1 exposes e0 among the vertices 0 and e0 with
+        # margin 1, but rises without bound along the ray e1.
+        body = Polyhedron([vec(0, 0), vec(1, 0)], rays=[vec(0, 1)])
+        with pytest.raises(UnboundedInput, match="bounded bodies"):
+            certificate_is_valid(ExposureCertificate(vec(1, 0), vec(1, 1), F(1)), body)
+
     def test_exposed_all_triangle(self):
         certs = exposed_all(TRIANGLE)
         assert len(certs) == 3

@@ -286,6 +286,31 @@ class TestSolveBounded:
         )
         assert out.value == 3
 
+    def test_bound_flips_rescale_no_row(self):
+        # Rooms 3/2, 5/3 and 1: each bounded column is measured in units of its
+        # room, so a bound flip changes signs and right sides, never a row's
+        # denominator.
+        variables = ["a", "b", "c"]
+        objective = {"a": F(3), "b": F(3), "c": F(2)}
+        rows = [({"a": F(3), "b": F(1), "c": F(2)}, ">=", F(2)), ({"a": F(-3), "b": F(-2)}, ">=", F(-3))]
+        lower = {"a": F(0), "b": F(-3), "c": F(-3, 2)}
+        upper = {"a": F(3, 2), "b": F(-4, 3), "c": F(-1, 2)}
+        solver = numerics._Simplex(variables, objective, rows, lower, upper)
+        flips = []
+        for name in ("_flip_nonbasic", "_flip_basic_row"):
+
+            def flip(arg, real=getattr(solver, name), name=name):
+                before = list(solver.den)
+                real(arg)
+                assert solver.den == before, name
+                flips.append(name)
+
+            setattr(solver, name, flip)
+        out = solver.run()
+        assert set(flips) == {"_flip_nonbasic", "_flip_basic_row"}
+        assert out == BoundedOptimal(F(-1, 2), upper)
+        assert out == oracle_solve(variables, objective, rows, lower=lower, upper=upper)
+
     def test_infeasible_with_bounds(self):
         out = solve_bounded(
             ["a"],

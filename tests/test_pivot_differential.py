@@ -11,7 +11,13 @@ columns and the same rational rows ``T[i] / den[i]``, ``b[i] / den[i]`` and
 widened to full width before it is compared: its denominator at its own basic
 column and 0 at the other basic columns.  The programs are random ones with
 small denominators, random ones with wide denominators that push rows past
-the bound, and the exposure programs of five shuffled stadium polygons.
+the bound, the exposure programs of five shuffled stadium polygons, and the
+distance programs of full Hausdorff distances between small polytopes.  The
+distance programs bound each dual coordinate by a weight with a wide
+denominator, where the random programs' rooms ``upp - low`` have
+denominators of 6 at most.  The engine measures a bounded column in units of
+its room, so its upper bound is 1, and on such a bound the frozen flips
+rescale no row either.
 
 A growth guard runs on every pivot: each row's denominator must stay
 within the bound plus the bit length of the reduced pivot row's denominator,
@@ -34,12 +40,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _fraction_simplex_oracle as fraction_oracle
 from _pivot_oracle import EagerSimplex
 from test_simplex_differential import bounded_lps, small
-from weakstar import geometry, numerics
+from weakstar import geometry, hypermetrics, numerics
 from weakstar.faces import stadium_family
-from weakstar.geometry import max_gap_functional
-from weakstar.numerics import _Simplex
+from weakstar.geometry import Polyhedron, max_gap_functional
+from weakstar.hypermetrics import hausdorff_full
+from weakstar.numerics import SparseVec, _Simplex
 
 BOUND = numerics.ROW_BITS_MAX
 
@@ -74,14 +82,14 @@ class FullWidthEager(EagerSimplex):
     frozen updates, indexing rows by column, leave as it is.  A basic column's
     reduced cost is then held as 0, so the engine's pricing, ratio test and
     read-off see the same values as on condensed rows.  The frozen flips read
-    each upper bound as a ``Fraction``.
+    the engine's integer upper bound ``ub``, 1 or 0, by its numerator and
+    denominator.
     """
 
     def _build_tableau(self):
         super()._build_tableau()
         self.T = [widened(self, i) for i in range(len(self.T))]
         self.nb, self.slot = list(range(self.ncols)), list(range(self.ncols))
-        self.ub = [None if u is None else Fraction(u, q) for u, q in zip(self.ub_num, self.ub_den)]
 
 
 def state(solver: _Simplex) -> tuple:
@@ -117,9 +125,9 @@ def run_steps(cls, program, stats: Counter | None = None):
 
     The growth guard checks every pivot, and on the condensed engine
     ``check_condensed`` checks the build and every step.  ``stats`` counts the rows reduced
-    lazily (by a pivot other than the pivot row's, or by a flip) as
-    ``"reduced"``, and the steps after which some row is not in lowest terms
-    as ``"unreduced"``.
+    lazily (by a pivot, other than the pivot row; a flip rescales no row) as
+    ``"reduced"``, the steps after which some row is not in lowest terms as
+    ``"unreduced"``, and each step by its name.
     """
     solver = cls(*program)
     condensed = cls is _Simplex
@@ -146,6 +154,7 @@ def run_steps(cls, program, stats: Counter | None = None):
             snapshot = state(solver)
             if any(row[0] != solver.den[i] for i, row in zip(solver.live_rows, snapshot[3])):
                 stats["unreduced"] += 1
+            stats[name] += 1
             steps.append((name, args, snapshot))
 
         return step
@@ -215,6 +224,50 @@ def test_stadium_exposure_programs_agree_pivot_by_pivot():
         assert_same_path(program, stats)
     assert stats["reduced"] > 0
     assert stats["unreduced"] > 0
+
+
+def polytope_pairs() -> list[tuple[Polyhedron, Polyhedron]]:
+    """Eight pairs of 10-vertex polytopes whose vertices have 3 nonzero coordinates of the form ±w/16 among 8."""
+    rng = random.Random(28)
+
+    def polytope() -> Polyhedron:
+        points = set()
+        while len(points) < 10:
+            coords = rng.sample(range(8), 3)
+            points.add(SparseVec({k: Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), 16) for k in coords}))
+        return Polyhedron(sorted(points, key=repr))
+
+    return [(polytope(), polytope()) for _ in range(8)]
+
+
+@cache
+def hausdorff_distance_programs() -> tuple:
+    """The distance programs ``hausdorff_full`` solves on ``polytope_pairs``, both ways."""
+    programs = []
+
+    def record(variables, objective, rows, *, lower, upper):
+        programs.append((variables, objective, rows, lower, upper))
+        return numerics.solve_bounded(variables, objective, rows, lower=lower, upper=upper)
+
+    with mock.patch.object(hypermetrics, "solve_bounded", record):
+        for first, second in polytope_pairs():
+            hausdorff_full(first, second)
+            hausdorff_full(second, first)
+    return tuple(programs)
+
+
+def test_hausdorff_distance_programs_agree_pivot_by_pivot():
+    stats = Counter()
+    programs = hausdorff_distance_programs()
+    assert len(programs) == 39
+    for program in programs:
+        assert_same_path(program, stats)
+        variables, objective, rows, lower, upper = program
+        assert numerics.solve_bounded(*program[:3], lower=lower, upper=upper) == fraction_oracle.solve_bounded(
+            variables, objective, rows, lower=lower, upper=upper
+        )
+    assert stats["_flip_nonbasic"] > 0
+    assert stats["_flip_basic_row"] > 0
 
 
 def _never_reduce(self, i):
