@@ -311,6 +311,27 @@ class TestSolveBounded:
         assert out == BoundedOptimal(F(-1, 2), upper)
         assert out == oracle_solve(variables, objective, rows, lower=lower, upper=upper)
 
+    def test_fixed_column_evicted_into_the_basis_leaves_at_step_zero(self):
+        # Phase 1 ends with the artificial of x - y = 0 basic at zero, and only
+        # the fixed x can replace it.  In phase 2, y enters; x's row blocks it
+        # at step 0 against x's upper bound 0, so the row flips around that
+        # bound and y leaves 0 no more than x does.
+        variables, rows = ["x", "y"], [({"x": F(1), "y": F(-1)}, "=", F(0)), ({"y": F(1)}, "<=", F(1, 2))]
+        upper = {"x": F(0), "y": F(3, 2)}
+        solver = numerics._Simplex(variables, {"y": F(1)}, rows, {}, upper)
+        steps = []
+        for name in ("_pivot", "_flip_basic_row"):
+
+            def step(*args, real=getattr(solver, name), name=name):
+                steps.append((name, args))
+                real(*args)
+
+            setattr(solver, name, step)
+        out = solver.run()
+        assert steps == [("_pivot", (0, 0)), ("_flip_basic_row", (0,)), ("_pivot", (0, 1))]
+        assert out == BoundedOptimal(F(0), {"x": F(0), "y": F(0)})
+        assert out == oracle_solve(variables, {"y": F(1)}, rows, upper=upper)
+
     def test_infeasible_with_bounds(self):
         out = solve_bounded(
             ["a"],

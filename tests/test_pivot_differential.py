@@ -240,8 +240,7 @@ def polytope_pairs() -> list[tuple[Polyhedron, Polyhedron]]:
     return [(polytope(), polytope()) for _ in range(8)]
 
 
-@cache
-def hausdorff_distance_programs() -> tuple:
+def hausdorff_distance_programs() -> list:
     """The distance programs ``hausdorff_full`` solves on ``polytope_pairs``, both ways."""
     programs = []
 
@@ -253,7 +252,7 @@ def hausdorff_distance_programs() -> tuple:
         for first, second in polytope_pairs():
             hausdorff_full(first, second)
             hausdorff_full(second, first)
-    return tuple(programs)
+    return programs
 
 
 def test_hausdorff_distance_programs_agree_pivot_by_pivot():
@@ -263,9 +262,8 @@ def test_hausdorff_distance_programs_agree_pivot_by_pivot():
     for program in programs:
         assert_same_path(program, stats)
         variables, objective, rows, lower, upper = program
-        assert numerics.solve_bounded(*program[:3], lower=lower, upper=upper) == fraction_oracle.solve_bounded(
-            variables, objective, rows, lower=lower, upper=upper
-        )
+        got = numerics.solve_bounded(variables, objective, rows, lower=lower, upper=upper)
+        assert got == fraction_oracle.solve_bounded(variables, objective, rows, lower=lower, upper=upper)
     assert stats["_flip_nonbasic"] > 0
     assert stats["_flip_basic_row"] > 0
 
